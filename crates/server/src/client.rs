@@ -219,7 +219,9 @@ impl Client {
         self.roundtrip(FrameType::Ingest, &payload)
     }
 
-    /// Submits one fcds wire envelope to the merge store.
+    /// Merges one fcds wire envelope into the built-in merge stream of
+    /// its family (v1; the stream is created on the first accepted
+    /// merge).
     ///
     /// # Errors
     ///
@@ -228,8 +230,9 @@ impl Client {
         self.roundtrip(FrameType::Merge, image)
     }
 
-    /// Queries an estimate. `family` 0 is the live Θ engine, 1–4 the
-    /// merge store families.
+    /// Queries an estimate. `family` 0 is the default Θ stream, 1–4 the
+    /// built-in merge stream of that wire family code (a `Wire` NACK
+    /// until its first merge).
     ///
     /// # Errors
     ///
@@ -288,8 +291,8 @@ impl Client {
     }
 
     /// v2: merges one wire envelope into the named stream's
-    /// accumulating store, creating the stream with `family` on first
-    /// use.
+    /// accumulated images, creating the stream with `family` on first
+    /// use (only once the envelope has validated).
     ///
     /// # Errors
     ///
@@ -322,8 +325,8 @@ impl Client {
         self.roundtrip_flags(FrameType::Merge, FLAG_STREAM | FLAG_REPLACE, &payload)
     }
 
-    /// v2: queries the named stream's scalar estimate (live engine ∪
-    /// replica slots ∪ pushed images).
+    /// v2: queries the named stream's scalar estimate (own images ∪
+    /// replica slots).
     ///
     /// # Errors
     ///

@@ -83,13 +83,16 @@ pub enum FrameType {
     /// Batch ingest: payload is `n × u64` items (LE), `n ≥ 0`,
     /// `payload_len % 8 == 0`. Answered with Ack or a shed Nack.
     Ingest = 0x02,
-    /// Merge an fcds wire envelope (any family) into the server's merge
-    /// store. Payload is exactly one envelope.
+    /// Merge an fcds wire envelope (any family) into a stream's
+    /// accumulated images. Payload is exactly one envelope. A v1 merge
+    /// goes to the built-in merge stream of the envelope's family
+    /// ([`crate::THETA_MERGE_STREAM`] and its siblings).
     Merge = 0x03,
     /// Query: payload is `[kind: u8, family: u8]`. `kind` 0 = estimate
     /// (answered with [`FrameType::Estimate`]), 1 = wire image (answered
-    /// with [`FrameType::Image`]). `family` 0 = the live Θ engine,
-    /// 1–4 = the merge store for that `SketchFamily` code.
+    /// with [`FrameType::Image`]). In v1, `family` 0 = the
+    /// [`crate::DEFAULT_STREAM`] Θ stream, 1–4 = the built-in merge
+    /// stream for that `SketchFamily` code.
     Query = 0x04,
     /// Ask the server to start draining (answered with Ack; ingest and
     /// merge frames are NACKed with `Draining` from then on).

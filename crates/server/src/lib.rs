@@ -37,11 +37,22 @@
 //! merge with the frame's declared family, are isolated from each other
 //! (private workers, queues and breakers per stream), and can be
 //! retired at runtime ([`ServerHandle::retire_stream`]). v1 frames
-//! (flags 0) keep their exact pre-v2 semantics, routed to the built-in
-//! [`DEFAULT_STREAM`] Θ stream.
+//! (flags 0) are sugar over built-in streams: ingest and family-0
+//! queries go to the [`DEFAULT_STREAM`] Θ stream, and v1 merges and
+//! queries of wire families 1–4 go to [`THETA_MERGE_STREAM`],
+//! [`HLL_MERGE_STREAM`], [`QUANTILES_MERGE_STREAM`] and
+//! [`FREQUENCY_MERGE_STREAM`], each created on the first accepted v1
+//! merge of its family. v1 merges are therefore checkpointed and
+//! replicated like any other stream state.
+//!
+//! Every stream has two image roles. **Own** is the live engine image
+//! plus every accumulated image (accepted non-REPLACE merges and the
+//! boot-recovered snapshot image); **replica** is the newest image per
+//! REPLACE source. Queries fan in own ∪ replica; the checkpointer and
+//! the replica pusher both carry own.
 //!
 //! **Replica sync**: configure [`ServerConfig::replica_peer`] and the
-//! server periodically encodes every stream's live wire image and ships
+//! server periodically fans each stream's own images into one and ships
 //! it to the peer as a v2 REPLACE merge ([`frame::FLAG_REPLACE`]) keyed
 //! by [`ServerConfig::replica_source_id`]. The peer stores the newest
 //! image per source and fans it in at query time with the multiway
@@ -66,16 +77,17 @@ pub use registry::StreamInfo;
 
 use crate::frame::{
     check_payload, encode_frame, encode_nack_payload, parse_header, split_stream_prefix, Frame,
-    HeaderError, StreamPrefix, FLAG_REPLACE, FLAG_STREAM, FRAME_HEADER_LEN,
+    HeaderError, FLAG_REPLACE, FLAG_STREAM, FRAME_HEADER_LEN,
 };
-use crate::registry::{build_engine, CreateError, Registry, StreamState, WorkerExit, WorkerHandle};
+use crate::registry::{
+    build_engine, fan_in, Answer, CreateError, FanInError, Registry, StreamState, Want, WorkerExit,
+    WorkerHandle,
+};
 use bytes::Bytes;
 use fcds_core::engine::EngineWriter;
 use fcds_core::PropagationBackendKind;
-use fcds_sketches::theta::ThetaRead;
 use fcds_sketches::wire::{
-    hll_multiway_merge, ladder_multiway_concat, mg_multiway_merge, peek, theta_multiway_union,
-    HllWireView, LadderWireView, MgWireView, SketchFamily, ThetaWireView, WireEncode,
+    peek, HllWireView, LadderWireView, MgWireView, SketchFamily, ThetaWireView,
 };
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -90,9 +102,41 @@ use std::time::{Duration, Instant};
 /// shutdown/drain flags. Deadlines are enforced at this granularity.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
-/// The key of the built-in Θ stream every v1 frame is routed to. Always
-/// present; cannot be retired.
+/// The key of the built-in Θ stream behind v1 ingest and family-0
+/// queries. Always present; cannot be retired.
 pub const DEFAULT_STREAM: &[u8] = b"default";
+
+/// The key of the built-in stream behind v1 Θ merges and family-1
+/// queries, created on the first accepted v1 Θ merge.
+pub const THETA_MERGE_STREAM: &[u8] = b"v1-theta";
+/// The key of the built-in stream behind v1 HLL merges and family-2
+/// queries, created on the first accepted v1 HLL merge.
+pub const HLL_MERGE_STREAM: &[u8] = b"v1-hll";
+/// The key of the built-in stream behind v1 Quantiles merges and
+/// family-3 queries, created on the first accepted v1 Quantiles merge.
+pub const QUANTILES_MERGE_STREAM: &[u8] = b"v1-quantiles";
+/// The key of the built-in stream behind v1 Misra–Gries merges and
+/// family-4 queries, created on the first accepted v1 Misra–Gries merge.
+pub const FREQUENCY_MERGE_STREAM: &[u8] = b"v1-frequency";
+
+/// The built-in stream behind v1 merges of `family`.
+fn v1_merge_stream(family: SketchFamily) -> &'static [u8] {
+    match family {
+        SketchFamily::Theta => THETA_MERGE_STREAM,
+        SketchFamily::Hll => HLL_MERGE_STREAM,
+        SketchFamily::Quantiles => QUANTILES_MERGE_STREAM,
+        SketchFamily::Frequency => FREQUENCY_MERGE_STREAM,
+    }
+}
+
+/// The built-in stream a v1 query's family byte names: 0 is the
+/// default Θ stream, 1–4 the per-family merge streams.
+fn v1_query_stream(code: u8) -> Option<(&'static [u8], SketchFamily)> {
+    match code {
+        0 => Some((DEFAULT_STREAM, SketchFamily::Theta)),
+        _ => SketchFamily::from_code(code).map(|f| (v1_merge_stream(f), f)),
+    }
+}
 
 /// Server configuration. `Default` is sized for a small host (the 1-CPU
 /// CI container): two ingest workers, 64-deep queues, 1 MiB frames.
@@ -124,8 +168,9 @@ pub struct ServerConfig {
     /// How long an open breaker rejects before admitting a half-open
     /// probe.
     pub breaker_cooldown: Duration,
-    /// Maximum retained wire images per sketch family in the merge
-    /// store; beyond it, merges shed with [`NackCode::Overload`].
+    /// Maximum accumulated merge images per stream, and maximum replica
+    /// sources per stream; beyond it, merges shed with
+    /// [`NackCode::Overload`].
     pub merge_store_cap: usize,
     /// Fault-injection hook for the robustness suite: an ingest worker
     /// that sees this item value panics, exercising panic isolation and
@@ -234,7 +279,8 @@ pub struct StatsSnapshot {
     pub ingest_batches: u64,
     /// Stream items ingested into the live engine.
     pub ingest_items: u64,
-    /// Wire images accepted into the merge store.
+    /// Wire images accepted by `Merge` frames (v1 and v2, accumulated
+    /// or replica).
     pub merges_accepted: u64,
     /// Ingest-worker panics isolated (each kills one worker, trips its
     /// breaker, and takes nothing else down).
@@ -297,50 +343,6 @@ impl Stats {
     }
 }
 
-/// Bounded per-family store of merged-in wire images, validated on
-/// arrival (capped `peek` + full zero-copy view parse) and fanned in at
-/// query time with the multiway kernels.
-struct MergeStore {
-    families: [Mutex<Vec<Bytes>>; 4],
-    cap: usize,
-}
-
-impl MergeStore {
-    fn new(cap: usize) -> Self {
-        MergeStore {
-            families: [
-                Mutex::new(Vec::new()),
-                Mutex::new(Vec::new()),
-                Mutex::new(Vec::new()),
-                Mutex::new(Vec::new()),
-            ],
-            cap,
-        }
-    }
-
-    fn slot(&self, family: SketchFamily) -> &Mutex<Vec<Bytes>> {
-        &self.families[(family.code() - 1) as usize]
-    }
-
-    /// Appends an already-validated image; `Err` when the family's
-    /// store is at capacity (the caller sheds).
-    fn push(&self, family: SketchFamily, image: Bytes) -> Result<(), ()> {
-        let mut v = self.slot(family).lock().unwrap_or_else(|e| e.into_inner());
-        if v.len() >= self.cap {
-            return Err(());
-        }
-        v.push(image);
-        Ok(())
-    }
-
-    fn images(&self, family: SketchFamily) -> Vec<Bytes> {
-        self.slot(family)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-}
-
 /// Run-state flags shared by every thread of the server.
 #[derive(Debug, Default)]
 struct Control {
@@ -363,7 +365,6 @@ struct ServerCtx {
     ctl: Control,
     stats: Stats,
     registry: Registry,
-    store: MergeStore,
     /// The snapshot store of the durability tier (`None` when
     /// persistence is off).
     persist: Option<Arc<dyn SnapshotStore>>,
@@ -517,8 +518,7 @@ fn spawn_stream(
         retired: AtomicBool::new(false),
         items: AtomicU64::new(0),
         replicas: Mutex::new(std::collections::HashMap::new()),
-        pushed: Mutex::new(Vec::new()),
-        recovered: Mutex::new(None),
+        accumulated: Mutex::new(Vec::new()),
         persisted_seq: AtomicU64::new(0),
         snapshot_dirty: AtomicBool::new(false),
     });
@@ -570,7 +570,6 @@ pub fn serve_with_store(
     let addr = listener.local_addr().map_err(ServeError::Bind)?;
     listener.set_nonblocking(true).map_err(ServeError::Bind)?;
 
-    let store = MergeStore::new(cfg.merge_store_cap);
     let max_streams = cfg.max_streams.max(1);
     let replica_breaker = cfg.replica_peer.as_ref().map(|_| {
         Arc::new(CircuitBreaker::new(
@@ -583,7 +582,6 @@ pub fn serve_with_store(
         ctl: Control::default(),
         stats: Stats::default(),
         registry: Registry::new(max_streams),
-        store,
         persist: snapshot_store,
         replica_breaker,
         retired_flushed: AtomicUsize::new(0),
@@ -846,9 +844,11 @@ impl ServerHandle {
             state.engine.quiesce();
             if state.key == DEFAULT_STREAM {
                 // Fan in like a query so boot-recovered state counts.
-                final_estimate = theta_multiway_union(&state.images())
-                    .map(|s| s.estimate())
-                    .unwrap_or_else(|_| state.engine.estimate().unwrap_or(0.0));
+                final_estimate =
+                    match fan_in(state.family, Want::Estimate, &state.own_and_replica()) {
+                        Ok(Answer::Estimate(v)) => v,
+                        _ => state.engine.estimate().unwrap_or(0.0),
+                    };
             }
             // Final checkpoint after quiesce: a *graceful* shutdown is
             // zero-loss, the bounded-loss window applies to crashes
@@ -1031,11 +1031,11 @@ fn jittered(rng: &mut u64, base: Duration) -> Duration {
     base.mul_f64(0.75 + 0.5 * frac)
 }
 
-/// The background replica pusher: every `replica_interval`, encode what
-/// this server holds for each stream (live engine image fanned in with
-/// the boot-recovered slot, so a post-crash push never shrinks the
-/// peer's slot to an empty just-restarted engine) and ship it to the
-/// peer as a v2 REPLACE merge under this server's source id.
+/// The background replica pusher: every `replica_interval`, fan each
+/// stream's own images into one (live engine plus accumulated merges
+/// and the boot-recovered image, so the peer sees the same answer
+/// before and after this server restarts) and ship it to the peer as a
+/// v2 REPLACE merge under this server's source id.
 ///
 /// The peer link is guarded by the server-wide circuit breaker:
 /// transport failures (connect/write/read errors) count toward opening
@@ -1087,19 +1087,11 @@ fn replica_pusher(ctx: Arc<ServerCtx>, peer: String) {
         }
         if let Some(c) = client.as_mut() {
             for state in ctx.registry.list() {
-                let images = persist::own_images(&state);
-                let image = if images.len() == 1 {
-                    images.into_iter().next().expect("live image")
-                } else {
-                    match persist::merged_image(state.family, &images) {
-                        Ok(img) => img,
-                        Err(_) => {
-                            ctx.stats
-                                .replica_push_errors
-                                .fetch_add(1, Ordering::Relaxed);
-                            continue;
-                        }
-                    }
+                let Ok(image) = state.own_image() else {
+                    ctx.stats
+                        .replica_push_errors
+                        .fetch_add(1, Ordering::Relaxed);
+                    continue;
                 };
                 let pushed = c.merge_stream_from(
                     state.family,
@@ -1441,13 +1433,14 @@ fn dispatch_frame(frame: Frame, ctx: &Arc<ServerCtx>) -> Response {
     }
 }
 
-/// Resolves a v2 stream prefix against the registry. `create` is true
-/// for ingest/merge (create-on-first-use) and false for queries
+/// Resolves a stream key against the registry. `create` is true for
+/// ingest/merge (create-on-first-use) and false for queries
 /// ([`NackCode::UnknownStream`] instead).
 fn resolve_stream(
     ctx: &Arc<ServerCtx>,
     seq: u16,
-    prefix: &StreamPrefix<'_>,
+    key: &[u8],
+    family: SketchFamily,
     create: bool,
 ) -> Result<Arc<StreamState>, Response> {
     let mismatch = |expected: SketchFamily| {
@@ -1457,16 +1450,17 @@ fn resolve_stream(
             &format!(
                 "stream was created as {}, frame declared {}",
                 expected.name(),
-                prefix.family.name()
+                family.name()
             ),
             false,
         )
     };
     if create {
         let workers = ctx.cfg.stream_workers.max(1);
-        match ctx.registry.get_or_create(prefix.key, prefix.family, || {
-            spawn_stream(ctx, prefix.key, prefix.family, workers)
-        }) {
+        match ctx
+            .registry
+            .get_or_create(key, family, || spawn_stream(ctx, key, family, workers))
+        {
             Ok((stream, _created)) => Ok(stream),
             Err(CreateError::FamilyMismatch { expected }) => Err(mismatch(expected)),
             Err(CreateError::AtCapacity) => Err(Response::nack(
@@ -1478,8 +1472,8 @@ fn resolve_stream(
             Err(CreateError::Build(e)) => Err(Response::nack(seq, NackCode::Internal, &e, false)),
         }
     } else {
-        match ctx.registry.get(prefix.key) {
-            Some(stream) if stream.family == prefix.family => Ok(stream),
+        match ctx.registry.get(key) {
+            Some(stream) if stream.family == family => Ok(stream),
             Some(stream) => Err(mismatch(stream.family)),
             None => Err(Response::nack(
                 seq,
@@ -1497,10 +1491,12 @@ fn handle_ingest(frame: Frame, ctx: &Arc<ServerCtx>) -> Response {
     }
     let (stream, body) = if frame.flags & FLAG_STREAM != 0 {
         match split_stream_prefix(&frame.payload, false) {
-            Ok((prefix, body)) => match resolve_stream(ctx, frame.seq, &prefix, true) {
-                Ok(stream) => (stream, body),
-                Err(nack) => return nack,
-            },
+            Ok((prefix, body)) => {
+                match resolve_stream(ctx, frame.seq, prefix.key, prefix.family, true) {
+                    Ok(stream) => (stream, body),
+                    Err(nack) => return nack,
+                }
+            }
             Err(e) => return Response::nack(frame.seq, NackCode::Malformed, &e.to_string(), false),
         }
     } else {
@@ -1612,268 +1608,139 @@ fn handle_merge(frame: Frame, ctx: &Arc<ServerCtx>) -> Response {
     if ctx.ctl.draining.load(Ordering::Acquire) {
         return Response::nack(frame.seq, NackCode::Draining, "server is draining", false);
     }
-    if frame.flags & FLAG_STREAM != 0 {
-        let replace = frame.flags & FLAG_REPLACE != 0;
-        let (prefix, body) = match split_stream_prefix(&frame.payload, replace) {
-            Ok(split) => split,
+    let (prefix, body) = if frame.flags & FLAG_STREAM != 0 {
+        match split_stream_prefix(&frame.payload, frame.flags & FLAG_REPLACE != 0) {
+            Ok((prefix, body)) => (Some(prefix), body),
             Err(e) => return Response::nack(frame.seq, NackCode::Malformed, &e.to_string(), false),
-        };
-        // Create-on-first-merge: a replica push materialises the stream
-        // on the receiving peer before any local ingest.
-        let stream = match resolve_stream(ctx, frame.seq, &prefix, true) {
-            Ok(stream) => stream,
-            Err(nack) => return nack,
-        };
-        let family = match validate_envelope(body, ctx.cfg.max_frame_payload) {
-            Ok(f) => f,
-            Err(e) => return Response::nack(frame.seq, NackCode::Wire, &e, false),
-        };
-        if family != stream.family {
+        }
+    } else {
+        (None, frame.payload.as_slice())
+    };
+    // Validate before resolving: a rejected merge must never create a
+    // stream (and its worker threads) under a fresh key.
+    let family = match validate_envelope(body, ctx.cfg.max_frame_payload) {
+        Ok(f) => f,
+        Err(e) => return Response::nack(frame.seq, NackCode::Wire, &e, false),
+    };
+    // v1 merges are sugar over the family's built-in merge stream.
+    let (key, source) = match &prefix {
+        Some(p) if p.family != family => {
             return Response::nack(
                 frame.seq,
                 NackCode::FamilyMismatch,
                 &format!(
                     "envelope is {}, stream is {}",
                     family.name(),
-                    stream.family.name()
+                    p.family.name()
                 ),
+                false,
+            )
+        }
+        Some(p) => (p.key, p.source),
+        None => (v1_merge_stream(family), None),
+    };
+    // Create-on-first-merge: a replica push materialises the stream on
+    // the receiving peer before any local ingest.
+    let stream = match resolve_stream(ctx, frame.seq, key, family, true) {
+        Ok(stream) => stream,
+        Err(nack) => return nack,
+    };
+    let image = Bytes::from(body.to_vec());
+    if let Some(source) = source {
+        // Replace-by-source: idempotent under periodic re-push.
+        let mut replicas = stream.replicas.lock().unwrap_or_else(|e| e.into_inner());
+        if !replicas.contains_key(&source) && replicas.len() >= ctx.cfg.merge_store_cap {
+            return Response::nack(
+                frame.seq,
+                NackCode::Overload,
+                "replica slots at capacity for this stream",
                 false,
             );
         }
-        let image = Bytes::from(body.to_vec());
-        if let Some(source) = prefix.source {
-            // Replace-by-source: idempotent under periodic re-push.
-            let mut replicas = stream.replicas.lock().unwrap_or_else(|e| e.into_inner());
-            if !replicas.contains_key(&source) && replicas.len() >= ctx.cfg.merge_store_cap {
-                return Response::nack(
-                    frame.seq,
-                    NackCode::Overload,
-                    "replica slots at capacity for this stream",
-                    false,
-                );
-            }
-            replicas.insert(source, image);
-        } else {
-            let mut pushed = stream.pushed.lock().unwrap_or_else(|e| e.into_inner());
-            if pushed.len() >= ctx.cfg.merge_store_cap {
-                return Response::nack(
-                    frame.seq,
-                    NackCode::Overload,
-                    "merge store at capacity for this stream",
-                    false,
-                );
-            }
-            pushed.push(image);
-            // Pushed images are part of the durable state; make the
-            // checkpointer rewrite the snapshot even if `items` is
-            // unchanged. (Replica slots are not: their source re-pushes
-            // them within one replica_interval.)
-            stream.snapshot_dirty.store(true, Ordering::Release);
+        replicas.insert(source, image);
+    } else {
+        let mut accumulated = stream.accumulated.lock().unwrap_or_else(|e| e.into_inner());
+        if accumulated.len() >= ctx.cfg.merge_store_cap {
+            return Response::nack(
+                frame.seq,
+                NackCode::Overload,
+                "accumulated merges at capacity for this stream",
+                false,
+            );
         }
-        ctx.stats.merges_accepted.fetch_add(1, Ordering::Relaxed);
-        return Response::ack(frame.seq);
+        accumulated.push(image);
+        // Accumulated images are own state: make the checkpointer
+        // rewrite the snapshot even if `items` is unchanged. (Replica
+        // slots are not: their source re-pushes them within one
+        // replica_interval.)
+        stream.snapshot_dirty.store(true, Ordering::Release);
     }
-    // v1: the global per-family merge store.
-    let family = match validate_envelope(&frame.payload, ctx.cfg.max_frame_payload) {
-        Ok(f) => f,
-        Err(e) => return Response::nack(frame.seq, NackCode::Wire, &e, false),
-    };
-    match ctx.store.push(family, Bytes::from(frame.payload)) {
-        Ok(()) => {
-            ctx.stats.merges_accepted.fetch_add(1, Ordering::Relaxed);
-            Response::ack(frame.seq)
-        }
-        Err(()) => Response::nack(
-            frame.seq,
-            NackCode::Overload,
-            "merge store at capacity for this family",
-            false,
-        ),
-    }
+    ctx.stats.merges_accepted.fetch_add(1, Ordering::Relaxed);
+    Response::ack(frame.seq)
 }
 
-/// Serves a v2 per-stream query: fans the stream's live image, replica
-/// slots and pushed images together with the family's multiway kernel.
-fn stream_query(seq: u16, stream: &StreamState, kind: u8) -> Response {
-    let images = stream.images();
-    let wire_err =
-        |e: fcds_sketches::WireError| Response::nack(seq, NackCode::Wire, &e.to_string(), false);
-    let estimate = |value: f64| Response {
-        ftype: FrameType::Estimate,
-        seq,
-        payload: value.to_bits().to_le_bytes().to_vec(),
-        close: false,
+/// Serves a query: fans `images` in with [`fan_in`] and encodes the
+/// answer (or its typed NACK).
+fn answer_query(seq: u16, family: SketchFamily, kind: u8, images: &[Bytes]) -> Response {
+    let want = match kind {
+        0 => Want::Estimate,
+        1 => Want::Image,
+        _ => return Response::nack(seq, NackCode::Malformed, "unknown query kind", false),
     };
-    let image = |bytes: Bytes| Response {
-        ftype: FrameType::Image,
-        seq,
-        payload: bytes.as_ref().to_vec(),
-        close: false,
+    let (ftype, payload) = match fan_in(family, want, images) {
+        Ok(Answer::Estimate(value)) => {
+            (FrameType::Estimate, value.to_bits().to_le_bytes().to_vec())
+        }
+        Ok(Answer::Image(bytes)) => (FrameType::Image, bytes.as_ref().to_vec()),
+        Err(FanInError::Unsupported) => {
+            return Response::nack(
+                seq,
+                NackCode::Unsupported,
+                "quantiles/frequency families have no scalar estimate; query the image",
+                false,
+            )
+        }
+        Err(FanInError::Wire(e)) => {
+            return Response::nack(seq, NackCode::Wire, &e.to_string(), false)
+        }
     };
-    match (kind, stream.family) {
-        (0, SketchFamily::Theta) => match theta_multiway_union(&images) {
-            Ok(s) => estimate(s.estimate()),
-            Err(e) => wire_err(e),
-        },
-        (0, SketchFamily::Hll) => match hll_multiway_merge(&images) {
-            Ok(s) => estimate(s.estimate()),
-            Err(e) => wire_err(e),
-        },
-        (0, _) => Response::nack(
-            seq,
-            NackCode::Unsupported,
-            "quantiles/frequency families have no scalar estimate; query the image",
-            false,
-        ),
-        (1, SketchFamily::Theta) => match theta_multiway_union(&images) {
-            Ok(s) => image(s.to_wire_bytes()),
-            Err(e) => wire_err(e),
-        },
-        (1, SketchFamily::Hll) => match hll_multiway_merge(&images) {
-            Ok(s) => image(s.to_wire_bytes()),
-            Err(e) => wire_err(e),
-        },
-        (1, SketchFamily::Quantiles) => match ladder_multiway_concat::<u64, _>(&images) {
-            Ok(s) => image(s.to_wire_bytes()),
-            Err(e) => wire_err(e),
-        },
-        (1, SketchFamily::Frequency) => match mg_multiway_merge::<u64, _>(&images) {
-            Ok(s) => image(s.to_wire_bytes()),
-            Err(e) => wire_err(e),
-        },
-        _ => Response::nack(seq, NackCode::Malformed, "unknown query kind", false),
+    Response {
+        ftype,
+        seq,
+        payload,
+        close: false,
     }
 }
 
 fn handle_query(frame: Frame, ctx: &Arc<ServerCtx>) -> Response {
+    let malformed = |detail: &str| Response::nack(frame.seq, NackCode::Malformed, detail, false);
     if frame.flags & FLAG_STREAM != 0 {
         let (prefix, body) = match split_stream_prefix(&frame.payload, false) {
             Ok(split) => split,
-            Err(e) => return Response::nack(frame.seq, NackCode::Malformed, &e.to_string(), false),
+            Err(e) => return malformed(&e.to_string()),
         };
-        let stream = match resolve_stream(ctx, frame.seq, &prefix, false) {
+        let stream = match resolve_stream(ctx, frame.seq, prefix.key, prefix.family, false) {
             Ok(stream) => stream,
             Err(nack) => return nack,
         };
         // Same 2-byte selector as v1; the family byte is redundant with
         // the prefix and ignored.
-        let kind = match body {
-            [k, _family] => *k,
-            _ => {
-                return Response::nack(
-                    frame.seq,
-                    NackCode::Malformed,
-                    "query payload must be [kind, family]",
-                    false,
-                )
-            }
+        let [kind, _family] = body else {
+            return malformed("query payload must be [kind, family]");
         };
-        return stream_query(frame.seq, &stream, kind);
+        return answer_query(frame.seq, stream.family, *kind, &stream.own_and_replica());
     }
-    let [kind, family] = match frame.payload.as_slice() {
-        [k, f] => [*k, *f],
-        _ => {
-            return Response::nack(
-                frame.seq,
-                NackCode::Malformed,
-                "query payload must be [kind, family]",
-                false,
-            )
-        }
+    let [kind, code] = frame.payload[..] else {
+        return malformed("query payload must be [kind, family]");
     };
-    let wire_err = |e: fcds_sketches::WireError| {
-        Response::nack(frame.seq, NackCode::Wire, &e.to_string(), false)
+    let Some((key, family)) = v1_query_stream(code) else {
+        return malformed("unknown query kind or family");
     };
-    match (kind, family) {
-        // Estimates. Family 0 is the default stream through the same
-        // fan-in as a v2 stream query, so boot-recovered and pushed
-        // state is visible to v1 clients too.
-        (0, 0) => match ctx.default_stream() {
-            Some(s) => stream_query(frame.seq, &s, 0),
-            None => Response {
-                ftype: FrameType::Estimate,
-                seq: frame.seq,
-                payload: 0.0f64.to_bits().to_le_bytes().to_vec(),
-                close: false,
-            },
-        },
-        (0, 1) => match theta_multiway_union(&ctx.store.images(SketchFamily::Theta)) {
-            Ok(s) => Response {
-                ftype: FrameType::Estimate,
-                seq: frame.seq,
-                payload: s.estimate().to_bits().to_le_bytes().to_vec(),
-                close: false,
-            },
-            Err(e) => wire_err(e),
-        },
-        (0, 2) => match hll_multiway_merge(&ctx.store.images(SketchFamily::Hll)) {
-            Ok(s) => Response {
-                ftype: FrameType::Estimate,
-                seq: frame.seq,
-                payload: s.estimate().to_bits().to_le_bytes().to_vec(),
-                close: false,
-            },
-            Err(e) => wire_err(e),
-        },
-        (0, 3 | 4) => Response::nack(
-            frame.seq,
-            NackCode::Unsupported,
-            "quantiles/frequency families have no scalar estimate; query the image",
-            false,
-        ),
-        // Images. Family 0 fans in like the estimate above.
-        (1, 0) => match ctx.default_stream() {
-            Some(s) => stream_query(frame.seq, &s, 1),
-            None => Response::nack(
-                frame.seq,
-                NackCode::Internal,
-                "default stream missing",
-                false,
-            ),
-        },
-        (1, 1) => match theta_multiway_union(&ctx.store.images(SketchFamily::Theta)) {
-            Ok(s) => Response {
-                ftype: FrameType::Image,
-                seq: frame.seq,
-                payload: s.to_wire_bytes().as_ref().to_vec(),
-                close: false,
-            },
-            Err(e) => wire_err(e),
-        },
-        (1, 2) => match hll_multiway_merge(&ctx.store.images(SketchFamily::Hll)) {
-            Ok(s) => Response {
-                ftype: FrameType::Image,
-                seq: frame.seq,
-                payload: s.to_wire_bytes().as_ref().to_vec(),
-                close: false,
-            },
-            Err(e) => wire_err(e),
-        },
-        (1, 3) => {
-            match ladder_multiway_concat::<u64, _>(&ctx.store.images(SketchFamily::Quantiles)) {
-                Ok(s) => Response {
-                    ftype: FrameType::Image,
-                    seq: frame.seq,
-                    payload: s.to_wire_bytes().as_ref().to_vec(),
-                    close: false,
-                },
-                Err(e) => wire_err(e),
-            }
-        }
-        (1, 4) => match mg_multiway_merge::<u64, _>(&ctx.store.images(SketchFamily::Frequency)) {
-            Ok(s) => Response {
-                ftype: FrameType::Image,
-                seq: frame.seq,
-                payload: s.to_wire_bytes().as_ref().to_vec(),
-                close: false,
-            },
-            Err(e) => wire_err(e),
-        },
-        _ => Response::nack(
-            frame.seq,
-            NackCode::Malformed,
-            "unknown query kind or family",
-            false,
-        ),
-    }
+    // A built-in merge stream that does not exist yet has no images: the
+    // fan-in answers with the kernels' typed "no images" Wire NACK.
+    let images = match ctx.registry.get(key) {
+        Some(stream) if stream.family == family => stream.own_and_replica(),
+        _ => Vec::new(),
+    };
+    answer_query(frame.seq, family, kind, &images)
 }

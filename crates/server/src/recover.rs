@@ -228,9 +228,9 @@ pub struct RecoveryOutcome {
 }
 
 /// Scans the store and re-registers every stream whose snapshot
-/// validates, installing the recovered image into the stream's
-/// `recovered` slot so queries, checkpoints and replica pushes all see
-/// the pre-crash state immediately. Runs before the accept loop
+/// validates, installing the recovered image as one of the stream's
+/// accumulated images so queries, checkpoints and replica pushes all
+/// see the pre-crash state immediately. Runs before the accept loop
 /// starts, so a client can never observe a half-recovered server.
 pub(crate) fn recover_streams(
     ctx: &Arc<ServerCtx>,
@@ -301,7 +301,11 @@ fn install(ctx: &Arc<ServerCtx>, rec: SnapshotRecord) -> Result<(), InstallError
         spawn_stream(ctx, &rec.key, rec.family, workers)
     }) {
         Ok((state, _created)) => {
-            *state.recovered.lock().unwrap_or_else(|e| e.into_inner()) = Some(rec.image);
+            state
+                .accumulated
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push(rec.image);
             state.items.store(rec.seq, Ordering::Release);
             state.persisted_seq.store(rec.seq, Ordering::Release);
             Ok(())

@@ -1,14 +1,17 @@
 //! The per-key stream registry: the map from opaque stream keys to
 //! running [`StreamEngine`]s, plus each stream's private ingest
-//! workers, replica slots, and pushed-image store.
+//! workers, its two image roles, and [`fan_in`], the one family
+//! dispatch every merged answer goes through.
 //!
 //! Lifecycle contract (documented in the README and exercised by the
 //! `registry_streams` suite):
 //!
 //! * **Create on first ingest or merge** — a v2 `Ingest` or `Merge`
 //!   frame for an unknown key creates the stream with the frame's
-//!   declared family. Queries never create ([`NackCode::UnknownStream`]
-//!   instead), so a typo'd read cannot materialise an empty stream.
+//!   declared family; a merge only once its envelope has validated, so
+//!   a rejected merge never leaves a stream behind. Queries never
+//!   create ([`NackCode::UnknownStream`] instead), so a typo'd read
+//!   cannot materialise an empty stream.
 //! * **Family is fixed at creation** — later frames declaring a
 //!   different family are rejected with
 //!   [`NackCode::FamilyMismatch`] and leave the stream untouched.
@@ -19,6 +22,13 @@
 //!   workers, quiesces the engine. A subsequent ingest/merge under the
 //!   same key creates a *fresh* stream (any family).
 //!
+//! Image roles: a stream's **own** images are its live engine image
+//! plus every accumulated image (accepted non-REPLACE merges and the
+//! boot-recovered snapshot image); its **replica** images are the
+//! newest image per REPLACE source. Queries fan in own ∪ replica;
+//! checkpoints and replica pushes carry own alone, so a peer's slot
+//! never echoes back and a snapshot never double-counts a peer.
+//!
 //! [`NackCode::UnknownStream`]: crate::frame::NackCode::UnknownStream
 //! [`NackCode::FamilyMismatch`]: crate::frame::NackCode::FamilyMismatch
 
@@ -28,7 +38,12 @@ use fcds_core::engine::{
     EngineBuilder, FrequencyFamily, HllFamily, QuantilesFamily, StreamEngine, ThetaFamily,
 };
 use fcds_core::PropagationBackendKind;
-use fcds_sketches::wire::SketchFamily;
+use fcds_sketches::theta::{ThetaRead, THETA_MAX};
+use fcds_sketches::wire::{
+    hll_multiway_merge, ladder_multiway_concat, mg_multiway_merge, theta_multiway_union,
+    HllWireView, LadderWireView, MgWireView, SketchFamily, ThetaWireView, WireEncode, WireHeader,
+};
+use fcds_sketches::WireError;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 use std::sync::mpsc::SyncSender;
@@ -55,7 +70,7 @@ pub(crate) enum WorkerExit {
 }
 
 /// One registered stream: a running engine plus everything the server
-/// scopes to it (workers, breakers, replica slots, pushed images).
+/// scopes to it (workers, breakers, accumulated and replica images).
 pub(crate) struct StreamState {
     pub(crate) key: Vec<u8>,
     pub(crate) family: SketchFamily,
@@ -67,50 +82,56 @@ pub(crate) struct StreamState {
     pub(crate) retired: AtomicBool,
     /// Items ingested into this stream's engine (diagnostics).
     pub(crate) items: AtomicU64,
-    /// Replace-by-source replica slots: the latest image pushed by each
-    /// replica source id. Replacement (not accumulation) is what makes
-    /// periodic pushes idempotent for the non-idempotent families
-    /// (Quantiles concat, Misra–Gries counter addition).
+    /// Replica role: the latest image pushed by each replica source id.
+    /// Replacement (not accumulation) is what makes periodic pushes
+    /// idempotent for the non-idempotent families (Quantiles concat,
+    /// Misra–Gries counter addition).
     pub(crate) replicas: Mutex<HashMap<u64, Bytes>>,
-    /// Accumulating v2 merge store (non-REPLACE merges), bounded by
+    /// Own role besides the live engine: every accepted non-REPLACE
+    /// merge and the boot-recovered snapshot image, bounded by
     /// `merge_store_cap`.
-    pub(crate) pushed: Mutex<Vec<Bytes>>,
-    /// The wire image recovered from this stream's snapshot at boot
-    /// (`None` for streams created live). Fanned into queries,
-    /// checkpoints and replica pushes exactly like a merged image — the
-    /// live engine restarts empty, so this slot *is* the pre-crash
-    /// state.
-    pub(crate) recovered: Mutex<Option<Bytes>>,
+    pub(crate) accumulated: Mutex<Vec<Bytes>>,
     /// [`Self::items`] as of the last durable snapshot (0 = never
     /// persisted). `items - persisted_seq` is the stream's snapshot lag:
     /// the ingest a crash right now would lose.
     pub(crate) persisted_seq: AtomicU64,
-    /// Set when non-ingest durable state changes (an accepted v2 merge)
-    /// so the checkpointer rewrites the snapshot even though `items`
-    /// did not move.
+    /// Set when an accepted merge changes the own role so the
+    /// checkpointer rewrites the snapshot even though `items` did not
+    /// move.
     pub(crate) snapshot_dirty: AtomicBool,
 }
 
 impl StreamState {
-    /// Everything query-time fan-in sees: the live engine's image, the
-    /// boot-recovered snapshot image (if any), the newest image per
-    /// replica source, and all accumulated pushes. Never empty — the
-    /// live image is always present.
-    pub(crate) fn images(&self) -> Vec<Bytes> {
+    /// The own role: the live engine image followed by every
+    /// accumulated image. Never empty — the live image is always there.
+    pub(crate) fn own(&self) -> Vec<Bytes> {
         let mut v = vec![self.engine.wire_image()];
-        {
-            let recovered = self.recovered.lock().unwrap_or_else(|e| e.into_inner());
-            v.extend(recovered.iter().cloned());
-        }
-        {
-            let replicas = self.replicas.lock().unwrap_or_else(|e| e.into_inner());
-            v.extend(replicas.values().cloned());
-        }
-        {
-            let pushed = self.pushed.lock().unwrap_or_else(|e| e.into_inner());
-            v.extend(pushed.iter().cloned());
-        }
+        let accumulated = self.accumulated.lock().unwrap_or_else(|e| e.into_inner());
+        v.extend(accumulated.iter().cloned());
         v
+    }
+
+    /// What a query fans in: own ∪ replica.
+    pub(crate) fn own_and_replica(&self) -> Vec<Bytes> {
+        let mut v = self.own();
+        let replicas = self.replicas.lock().unwrap_or_else(|e| e.into_inner());
+        v.extend(replicas.values().cloned());
+        v
+    }
+
+    /// The own role fanned into one image: what a checkpoint writes and
+    /// the replica pusher ships. A lone live image passes through as-is.
+    pub(crate) fn own_image(&self) -> Result<Bytes, WireError> {
+        let mut images = self.own();
+        if images.len() == 1 {
+            return Ok(images.pop().expect("one image"));
+        }
+        match fan_in(self.family, Want::Image, &images) {
+            Ok(Answer::Image(image)) => Ok(image),
+            Ok(Answer::Estimate(_)) => unreachable!("an image fan-in answers with an image"),
+            Err(FanInError::Wire(e)) => Err(e),
+            Err(FanInError::Unsupported) => unreachable!("every family has an image"),
+        }
     }
 
     /// Joins every worker thread, returning
@@ -281,3 +302,108 @@ pub(crate) fn build_engine(
     };
     built.map_err(|e| e.to_string())
 }
+
+/// What a fan-in is asked for (a query's `kind` byte).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Want {
+    /// The scalar estimate (Θ and HLL only).
+    Estimate,
+    /// The merged wire image.
+    Image,
+}
+
+/// A fan-in's answer.
+pub(crate) enum Answer {
+    Estimate(f64),
+    Image(Bytes),
+}
+
+/// Why a fan-in produced no answer.
+pub(crate) enum FanInError {
+    /// Quantiles and Misra–Gries have no scalar estimate.
+    Unsupported,
+    /// A kernel rejected the image set (seed or `k` mismatch, or no
+    /// images at all).
+    Wire(WireError),
+}
+
+impl From<WireError> for FanInError {
+    fn from(e: WireError) -> Self {
+        FanInError::Wire(e)
+    }
+}
+
+/// The one family dispatch: fans `images` in with `family`'s multiway
+/// kernel and answers `want`. Query, checkpoint, replica push and the
+/// drain's final estimate all come through here.
+///
+/// Empty images — those summarising zero items — are left out: an
+/// empty image is every family's merge identity, so leaving it out
+/// never changes an answer, and it keeps a merge-only stream's empty
+/// live engine (hash seed 9001) from clashing with merged images built
+/// under another seed. If every image is empty the first one alone
+/// answers.
+pub(crate) fn fan_in(
+    family: SketchFamily,
+    want: Want,
+    images: &[Bytes],
+) -> Result<Answer, FanInError> {
+    let mut set: Vec<&Bytes> = images.iter().filter(|i| !is_empty_image(i)).collect();
+    if set.is_empty() {
+        set.extend(images.first());
+    }
+    Ok(match (want, family) {
+        (Want::Estimate, SketchFamily::Theta) => {
+            Answer::Estimate(theta_multiway_union(&set)?.estimate())
+        }
+        (Want::Estimate, SketchFamily::Hll) => {
+            Answer::Estimate(hll_multiway_merge(&set)?.estimate())
+        }
+        (Want::Estimate, _) => return Err(FanInError::Unsupported),
+        (Want::Image, SketchFamily::Theta) => {
+            Answer::Image(theta_multiway_union(&set)?.to_wire_bytes())
+        }
+        (Want::Image, SketchFamily::Hll) => {
+            Answer::Image(hll_multiway_merge(&set)?.to_wire_bytes())
+        }
+        (Want::Image, SketchFamily::Quantiles) => {
+            Answer::Image(ladder_multiway_concat::<u64, _>(&set)?.to_wire_bytes())
+        }
+        (Want::Image, SketchFamily::Frequency) => {
+            Answer::Image(mg_multiway_merge::<u64, _>(&set)?.to_wire_bytes())
+        }
+    })
+}
+
+/// Whether `image` summarises zero items: Θ with θ = 1 and nothing
+/// retained, HLL with every register 0, Quantiles/Misra–Gries with
+/// n = 0. An image that fails to parse is not empty — the kernel
+/// reports it.
+fn is_empty_image(image: &[u8]) -> bool {
+    let Ok((header, payload)) = WireHeader::parse(image) else {
+        return false;
+    };
+    match header.family {
+        SketchFamily::Theta => {
+            ThetaWireView::parse(image).is_ok_and(|v| v.is_empty() && v.theta() == THETA_MAX)
+        }
+        SketchFamily::Hll => {
+            HllWireView::parse(image).is_ok_and(|v| v.registers().iter().all(|&r| r == 0))
+        }
+        // n = 0 retains nothing, so only the fixed fields remain; the
+        // length test spares every non-empty image a full parse.
+        SketchFamily::Quantiles => {
+            payload.len() == LADDER_FIXED_LEN
+                && LadderWireView::<u64>::parse(image).is_ok_and(|v| v.n() == 0)
+        }
+        SketchFamily::Frequency => {
+            payload.len() == MG_FIXED_LEN
+                && MgWireView::<u64>::parse(image).is_ok_and(|v| v.n() == 0)
+        }
+    }
+}
+
+/// Payload bytes of an n = 0 Quantiles ladder: `n`, run count, pad.
+const LADDER_FIXED_LEN: usize = 16;
+/// Payload bytes of an n = 0 Misra–Gries image: `k`, `n`, error, count.
+const MG_FIXED_LEN: usize = 32;

@@ -306,3 +306,54 @@ fn drain_flushes_all_acked_items_into_the_final_estimate() {
     );
     assert_eq!(report.leaked_threads, 0);
 }
+
+#[test]
+fn v1_merges_are_sugar_over_built_in_per_family_streams() {
+    let handle = serve(test_config()).unwrap();
+    let mut c = connect(&handle);
+    assert!(handle
+        .list_streams()
+        .iter()
+        .all(|s| s.key != fcds_server::HLL_MERGE_STREAM));
+
+    // The first accepted v1 HLL merge creates the built-in HLL stream.
+    let mut h = fcds_sketches::hll::HllSketch::new(10, 42).unwrap();
+    for i in 0..20_000u64 {
+        h.update(i);
+    }
+    assert!(matches!(
+        c.merge(&h.to_wire_bytes()).unwrap(),
+        Reply::Ack { .. }
+    ));
+    let info = handle
+        .list_streams()
+        .into_iter()
+        .find(|s| s.key == fcds_server::HLL_MERGE_STREAM)
+        .expect("built-in HLL merge stream");
+    assert_eq!(info.family, SketchFamily::Hll);
+
+    // A v1 query and a v2 query of that key are the same query.
+    let v1 = match c.query_estimate(SketchFamily::Hll.code()).unwrap() {
+        Reply::Estimate { value, .. } => value,
+        other => panic!("v1 estimate: {other:?}"),
+    };
+    let v2 = match c
+        .query_stream_estimate(SketchFamily::Hll, fcds_server::HLL_MERGE_STREAM)
+        .unwrap()
+    {
+        Reply::Estimate { value, .. } => value,
+        other => panic!("v2 estimate: {other:?}"),
+    };
+    assert_eq!(v1, v2);
+    assert!((v1 - 20_000.0).abs() / 20_000.0 < 0.05, "estimate {v1}");
+
+    // Retiring it brings back the no-merges-yet answer.
+    assert!(handle.retire_stream(fcds_server::HLL_MERGE_STREAM));
+    assert_eq!(
+        c.query_estimate(SketchFamily::Hll.code())
+            .unwrap()
+            .nack_code(),
+        Some(NackCode::Wire)
+    );
+    assert_eq!(handle.shutdown().leaked_threads, 0);
+}

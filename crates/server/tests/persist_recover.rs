@@ -505,3 +505,239 @@ fn retiring_a_stream_removes_its_snapshot() {
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One wire image per family, each built with parameters the server's
+/// own engines do not use (Θ seed 0, HLL lg_m 10 seed 42, Quantiles
+/// k 64, Misra–Gries k 32), over `n` items starting at `base`.
+fn foreign_image(family: SketchFamily, base: u64, n: u64) -> Vec<u8> {
+    use fcds_sketches::frequency::MisraGriesSketch;
+    use fcds_sketches::hll::HllSketch;
+    use fcds_sketches::quantiles::QuantilesSketch;
+    use fcds_sketches::theta::QuickSelectThetaSketch;
+    use fcds_sketches::wire::WireEncode;
+    let items = base..base + n;
+    let bytes = match family {
+        SketchFamily::Theta => {
+            let mut s = QuickSelectThetaSketch::new(12, 0).unwrap();
+            items.for_each(|i| s.update(i));
+            s.compact().to_wire_bytes()
+        }
+        SketchFamily::Hll => {
+            let mut s = HllSketch::new(10, 42).unwrap();
+            items.for_each(|i| s.update(i));
+            s.to_wire_bytes()
+        }
+        SketchFamily::Quantiles => {
+            let mut s = QuantilesSketch::<u64>::with_seed(64, 7).unwrap();
+            items.for_each(|i| s.update(i));
+            s.ladder().to_wire_bytes()
+        }
+        SketchFamily::Frequency => {
+            let mut s = MisraGriesSketch::<u64>::new(32).unwrap();
+            items.for_each(|i| s.update(i % 100));
+            s.to_wire_bytes()
+        }
+    };
+    bytes.as_ref().to_vec()
+}
+
+/// Every v1 answer for wire families 1–4, estimate then image, with the
+/// echoed sequence numbers left out so answers from two connections
+/// compare equal.
+fn v1_answers(c: &mut Client) -> Vec<String> {
+    let mut out = Vec::new();
+    for family in FAMILIES {
+        for reply in [
+            c.query_estimate(family.code()).unwrap(),
+            c.query_image(family.code()).unwrap(),
+        ] {
+            out.push(match reply {
+                Reply::Estimate { value, .. } => format!("{family:?} estimate {value}"),
+                Reply::Image { bytes, .. } => format!("{family:?} image {bytes:?}"),
+                Reply::Nack { code, .. } => format!("{family:?} nack {code:?}"),
+                other => panic!("unexpected v1 reply: {other:?}"),
+            });
+        }
+    }
+    out
+}
+
+/// Copies every committed snapshot of `from` into a fresh directory:
+/// exactly the state a SIGKILL would leave behind right now — no drain,
+/// no final checkpoint.
+fn crash_copy(from: &std::path::Path, tag: &str) -> PathBuf {
+    let to = tmp_dir(tag);
+    for entry in std::fs::read_dir(from).unwrap() {
+        let path = entry.unwrap().path();
+        if path.to_string_lossy().ends_with(SNAP_SUFFIX) {
+            std::fs::copy(&path, to.join(path.file_name().unwrap())).unwrap();
+        }
+    }
+    to
+}
+
+/// v1 merges are stream state like any other: a restart on the same
+/// data directory — after a graceful drain, or from the snapshots a
+/// kill would leave — answers every v1 estimate and image query exactly
+/// as before.
+#[test]
+fn v1_merges_survive_graceful_and_crash_restarts() {
+    let dir = tmp_dir("v1-merge");
+    let handle = serve(durable_config(&dir)).expect("serve first life");
+    let mut c = connect(&handle);
+    for (i, family) in FAMILIES.iter().enumerate() {
+        let image = foreign_image(*family, i as u64 * 10_000, 5_000);
+        let reply = c.merge(&image).unwrap();
+        assert!(matches!(reply, Reply::Ack { .. }), "{family:?}: {reply:?}");
+    }
+    let before = v1_answers(&mut c);
+    assert_eq!(
+        before.iter().filter(|a| a.contains(" image ")).count(),
+        4,
+        "every family answers with an image: {before:?}"
+    );
+
+    // Kill-style: wait until the checkpointer has committed all four
+    // built-in merge streams, then take the directory as a crash would.
+    let keys = [
+        fcds_server::THETA_MERGE_STREAM,
+        fcds_server::HLL_MERGE_STREAM,
+        fcds_server::QUANTILES_MERGE_STREAM,
+        fcds_server::FREQUENCY_MERGE_STREAM,
+    ];
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !keys
+        .iter()
+        .all(|k| dir.join(snapshot_file_name(k)).exists())
+    {
+        assert!(Instant::now() < deadline, "v1 merges never checkpointed");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let crashed = crash_copy(&dir, "v1-merge-crash");
+    drop(c);
+    let drain = handle.shutdown();
+    assert_eq!(drain.leaked_threads, 0);
+    assert_eq!(drain.stats.snapshot_errors, 0);
+
+    for restart_dir in [&dir, &crashed] {
+        let handle = serve(durable_config(restart_dir)).expect("serve after restart");
+        let outcome = handle.recovery_outcome().expect("durable tier recovers");
+        assert_eq!(outcome.quarantined, 0, "{outcome:?}");
+        let mut c = connect(&handle);
+        assert_eq!(
+            v1_answers(&mut c),
+            before,
+            "v1 answers changed across a restart on {restart_dir:?}"
+        );
+        drop(c);
+        handle.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&crashed);
+}
+
+/// A merge-only stream whose images use a non-default hash seed (Θ seed
+/// 0) answers both query kinds and checkpoints cleanly: the empty live
+/// engine (seed 9001) never enters the fan-in.
+#[test]
+fn merge_only_stream_with_foreign_seed_queries_and_checkpoints() {
+    let dir = tmp_dir("foreign-seed");
+    let handle = serve(durable_config(&dir)).expect("serve");
+    let mut c = connect(&handle);
+    for part in 0..2u64 {
+        let image = foreign_image(SketchFamily::Theta, part * 3_000, 3_000);
+        let reply = c
+            .merge_stream(SketchFamily::Theta, b"seed0", &image)
+            .unwrap();
+        assert!(matches!(reply, Reply::Ack { .. }), "{reply:?}");
+    }
+    let count = observed_count(&mut c, SketchFamily::Theta, b"seed0");
+    assert!((count - 6_000.0).abs() / 6_000.0 < 0.05, "estimate {count}");
+    match c.query_stream_image(SketchFamily::Theta, b"seed0").unwrap() {
+        Reply::Image { bytes, .. } => {
+            let view = fcds_sketches::wire::ThetaWireView::parse(&bytes).unwrap();
+            assert_eq!(view.seed(), 0, "the merged image keeps the images' seed");
+        }
+        other => panic!("image query: {other:?}"),
+    }
+    let path = dir.join(snapshot_file_name(b"seed0"));
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !path.exists() {
+        assert!(
+            Instant::now() < deadline,
+            "merge-only stream never checkpointed"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(handle.stats().snapshot_errors, 0);
+    drop(c);
+    let drain = handle.shutdown();
+    assert_eq!(drain.stats.snapshot_errors, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Replica pushes carry the origin's own images — live ingest *and*
+/// accumulated merges — so a peer sees the same answer before and after
+/// the origin restarts.
+#[test]
+fn replica_answer_is_the_same_before_and_after_the_origin_restarts() {
+    let dir = tmp_dir("replica-restart");
+    let b = serve(ServerConfig::default()).expect("serve peer");
+    let a_config = || ServerConfig {
+        replica_peer: Some(b.local_addr().to_string()),
+        replica_interval: Duration::from_millis(30),
+        replica_source_id: 7,
+        ..durable_config(&dir)
+    };
+    let (ingested, merged) = (2_000u64, 3_000u64);
+    let want = (ingested + merged) as f64;
+    let peer_count = |cb: &mut Client| match cb
+        .query_stream_image(SketchFamily::Quantiles, b"mixed")
+        .unwrap()
+    {
+        Reply::Image { bytes, .. } => LadderWireView::<u64>::parse(&bytes).unwrap().n() as f64,
+        _ => 0.0, // UnknownStream until the first push lands
+    };
+    let wait_on_peer = |cb: &mut Client| {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let got = peer_count(cb);
+            if got == want {
+                return;
+            }
+            assert!(Instant::now() < deadline, "peer saw n = {got}, want {want}");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    };
+
+    let a = serve(a_config()).expect("serve origin");
+    let mut ca = connect(&a);
+    ingest_all(
+        &mut ca,
+        SketchFamily::Quantiles,
+        b"mixed",
+        &(0..ingested).collect::<Vec<_>>(),
+    );
+    let image = foreign_image(SketchFamily::Quantiles, 1_000_000, merged);
+    let reply = ca
+        .merge_stream(SketchFamily::Quantiles, b"mixed", &image)
+        .unwrap();
+    assert!(matches!(reply, Reply::Ack { .. }), "{reply:?}");
+    let mut cb = connect(&b);
+    wait_on_peer(&mut cb);
+    drop(ca);
+    a.shutdown();
+
+    let a = serve(a_config()).expect("restart origin");
+    let pushes = a.stats().replica_pushes;
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while a.stats().replica_pushes < pushes + 2 {
+        assert!(Instant::now() < deadline, "restarted origin never pushed");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(peer_count(&mut cb), want, "peer answer changed on restart");
+    drop(cb);
+    a.shutdown();
+    b.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -13,7 +13,7 @@ use fcds_server::frame::{
     encode_frame_flags, FrameType, NackCode, FLAG_REPLACE, FLAG_STREAM, MAX_STREAM_KEY,
 };
 use fcds_server::{serve, ServerConfig, ServerHandle};
-use fcds_sketches::wire::{peek, LadderWireView, MgWireView, SketchFamily};
+use fcds_sketches::wire::{peek, LadderWireView, MgWireView, SketchFamily, WireEncode};
 use std::time::Duration;
 
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(5);
@@ -495,4 +495,53 @@ fn replica_sync_converges_across_two_servers() {
     let rb = b.shutdown();
     assert_eq!(rb.leaked_threads, 0);
     assert!(rb.stats.merges_accepted > 0);
+}
+
+/// A merge is validated before its stream is resolved: rejected merges
+/// to fresh keys — an undecodable envelope, or a valid envelope of the
+/// wrong family — leave no stream (and no worker thread) behind, so a
+/// volley of them cannot fill `max_streams` and lock out real streams.
+#[test]
+fn rejected_merges_to_fresh_keys_never_create_streams() {
+    let handle = serve(test_config()).unwrap();
+    let mut c = connect(&handle);
+    let before = handle.list_streams();
+
+    let mut theta = fcds_sketches::theta::QuickSelectThetaSketch::new(10, 9001).unwrap();
+    for i in 0..1_000u64 {
+        theta.update(i);
+    }
+    let theta_image = theta.compact().to_wire_bytes();
+    let max_streams = test_config().max_streams;
+    for i in 0..max_streams {
+        let key = format!("hostile-{i}").into_bytes();
+        let reply = if i % 2 == 0 {
+            c.merge_stream(SketchFamily::Theta, &key, b"not an envelope")
+        } else {
+            c.merge_stream(SketchFamily::Hll, &key, &theta_image)
+        }
+        .unwrap();
+        let want = if i % 2 == 0 {
+            NackCode::Wire
+        } else {
+            NackCode::FamilyMismatch
+        };
+        assert_eq!(reply.nack_code(), Some(want), "merge {i}: {reply:?}");
+    }
+    assert_eq!(
+        handle.list_streams(),
+        before,
+        "rejected merges left streams"
+    );
+
+    // A legitimate stream can still be created, by ingest or by merge.
+    ingest_all(&mut c, SketchFamily::Theta, b"legit", &[1, 2, 3]);
+    let reply = c
+        .merge_stream(SketchFamily::Theta, b"legit-merge", &theta_image)
+        .unwrap();
+    assert!(matches!(reply, Reply::Ack { .. }), "{reply:?}");
+    assert_eq!(handle.list_streams().len(), before.len() + 2);
+    let report = handle.shutdown();
+    assert_eq!(report.leaked_threads, 0);
+    assert_eq!(report.stats.streams_created, 3); // default + 2 legit
 }
