@@ -1,10 +1,9 @@
 //! The family-generic engine seam: one trait surface over all four
-//! concurrent sketches, plus the unified builder.
+//! concurrent sketches, plus the one builder that constructs them.
 //!
-//! PR 8 put a network tier in front of *one* hard-wired Θ engine. The
-//! multi-stream service needs to host many engines of mixed families
-//! behind per-key routing, and the code doing that routing must not
-//! care which family a stream is — so this module defines:
+//! The multi-stream service hosts many engines of mixed families behind
+//! per-key routing, and the code doing that routing must not care which
+//! family a stream is — so this module defines:
 //!
 //! * [`WireImage`] — the one-method trait every concurrent sketch
 //!   implements to export its mergeable wire envelope
@@ -17,22 +16,21 @@
 //!   item type; Θ/HLL hash them, Quantiles/Misra–Gries take them as
 //!   values), and each worker thread owns one `EngineWriter` obtained
 //!   from it.
-//! * [`Family`] + [`EngineBuilder`] — the unified construction entry:
-//!   the shared [`ConcurrencyConfig`] knobs (writers, shards, backend,
+//! * [`Family`] + [`EngineBuilder`] — the one construction entry: the
+//!   shared [`ConcurrencyConfig`] knobs (writers, shards, backend,
 //!   error budget…) are set once on `EngineBuilder<F>` for any family
 //!   `F`, with one family-interpreted [`accuracy`](EngineBuilder::accuracy)
-//!   knob instead of four builder types each re-declaring the same
-//!   setters. The per-family builders (`ConcurrentThetaBuilder` and
-//!   friends) remain as thin deprecated shims for this PR.
+//!   knob. Each [`Family::build`] constructs the family's global sketch
+//!   and starts it with [`ConcurrentSketch::start`].
 
 use crate::config::{ConcurrencyConfig, PropagationBackendKind};
-use crate::frequency::{ConcurrentFrequencyBuilder, ConcurrentFrequencySketch, FrequencyWriter};
-use crate::hll::{ConcurrentHllBuilder, ConcurrentHllSketch, HllWriter};
-use crate::quantiles::{ConcurrentQuantilesBuilder, ConcurrentQuantilesSketch, QuantilesWriter};
-use crate::runtime::{EngineStats, FlushError};
-use crate::theta::{ConcurrentThetaBuilder, ConcurrentThetaSketch, ThetaWriter};
+use crate::frequency::{ConcurrentFrequencySketch, FrequencyGlobal, FrequencyWriter};
+use crate::hll::{ConcurrentHllSketch, HllGlobal, HllWriter};
+use crate::quantiles::{ConcurrentQuantilesSketch, QuantilesGlobal, QuantilesWriter};
+use crate::runtime::{ConcurrentSketch, EngineStats, FlushError};
+use crate::theta::{ConcurrentThetaSketch, ThetaGlobal, ThetaWriter};
 use bytes::Bytes;
-use fcds_sketches::error::Result;
+use fcds_sketches::error::{Result, SketchError};
 use fcds_sketches::hash::DEFAULT_SEED;
 use fcds_sketches::wire::SketchFamily;
 use std::marker::PhantomData;
@@ -43,8 +41,8 @@ use std::marker::PhantomData;
 /// carries the family code, so a consumer can stay family-generic and
 /// let `fcds_sketches::wire::peek` plus the multiway fan-in kernels do
 /// the dispatch. Replica sync is exactly this: a timer calling
-/// `wire_image()` on every registered stream and shipping the bytes to
-/// a peer's merge store.
+/// `wire_image()` on each stream's own engine and shipping the bytes to
+/// the peer, which keeps the newest image per source as a replica.
 pub trait WireImage {
     /// Serialises the current published state into one wire envelope.
     fn wire_image(&self) -> Bytes;
@@ -77,6 +75,30 @@ pub trait EngineWriter: Send {
 /// mergeable image ([`WireImage`], a supertrait), serve a scalar
 /// estimate where the family has one, quiesce at drain, and report
 /// engine-level drain statistics.
+///
+/// # Examples
+///
+/// Code that must not care about the family holds engines as
+/// `Box<dyn StreamEngine>`, built with [`EngineBuilder::build_boxed`]:
+///
+/// ```
+/// use fcds_core::engine::{EngineBuilder, QuantilesFamily, StreamEngine, ThetaFamily};
+///
+/// let engines: Vec<Box<dyn StreamEngine>> = vec![
+///     EngineBuilder::<ThetaFamily>::new().build_boxed().unwrap(),
+///     EngineBuilder::<QuantilesFamily>::new().build_boxed().unwrap(),
+/// ];
+/// let items: Vec<u64> = (0..1_000).collect();
+/// for engine in &engines {
+///     let mut w = engine.writer();
+///     w.ingest_batch(&items);
+///     w.flush().unwrap();
+///     engine.quiesce();
+///     assert!(!engine.wire_image().is_empty());
+/// }
+/// assert_eq!(engines[0].estimate(), Some(1_000.0));
+/// assert_eq!(engines[1].estimate(), None);
+/// ```
 pub trait StreamEngine: WireImage + Send + Sync {
     /// The wire family this engine speaks.
     fn family(&self) -> SketchFamily;
@@ -240,6 +262,13 @@ pub trait Family {
     fn build(accuracy: usize, seed: u64, config: ConcurrencyConfig) -> Result<Self::Engine>;
 }
 
+/// Narrows a log-size `accuracy` (Θ's `lg_k`, HLL's `lg_m`) to `u8`;
+/// the sketch constructor then checks its own range.
+fn accuracy_u8(accuracy: usize) -> Result<u8> {
+    u8::try_from(accuracy)
+        .map_err(|_| SketchError::invalid("accuracy", format!("must fit in u8, got {accuracy}")))
+}
+
 /// Θ family marker: `accuracy` is `lg_k`, `seed` the hash seed.
 #[derive(Debug, Clone, Copy)]
 pub struct ThetaFamily;
@@ -250,11 +279,9 @@ impl Family for ThetaFamily {
     const DEFAULT_ACCURACY: usize = 12;
 
     fn build(accuracy: usize, seed: u64, config: ConcurrencyConfig) -> Result<Self::Engine> {
-        ConcurrentThetaBuilder::new()
-            .lg_k(accuracy as u8)
-            .seed(seed)
-            .config(config)
-            .build()
+        let lg_k = accuracy_u8(accuracy)?;
+        let inner = ConcurrentSketch::start(ThetaGlobal::new(lg_k, seed)?, config)?;
+        Ok(ConcurrentThetaSketch { inner, lg_k, seed })
     }
 }
 
@@ -268,11 +295,9 @@ impl Family for HllFamily {
     const DEFAULT_ACCURACY: usize = 12;
 
     fn build(accuracy: usize, seed: u64, config: ConcurrencyConfig) -> Result<Self::Engine> {
-        ConcurrentHllBuilder::new()
-            .lg_m(accuracy as u8)
-            .seed(seed)
-            .config(config)
-            .build()
+        let global = HllGlobal::new(accuracy_u8(accuracy)?, seed)?;
+        let inner = ConcurrentSketch::start(global, config)?;
+        Ok(ConcurrentHllSketch { inner, seed })
     }
 }
 
@@ -288,11 +313,8 @@ impl<T: Ord + Clone + Send + Sync + 'static> Family for QuantilesFamily<T> {
     const DEFAULT_ACCURACY: usize = 128;
 
     fn build(accuracy: usize, seed: u64, config: ConcurrencyConfig) -> Result<Self::Engine> {
-        ConcurrentQuantilesBuilder::new()
-            .k(accuracy)
-            .oracle_seed(seed)
-            .config(config)
-            .build()
+        let inner = ConcurrentSketch::start(QuantilesGlobal::new(accuracy, seed)?, config)?;
+        Ok(ConcurrentQuantilesSketch::wrap(inner, accuracy))
     }
 }
 
@@ -308,10 +330,8 @@ impl<T: Eq + std::hash::Hash + Clone + Send + Sync + 'static> Family for Frequen
     const DEFAULT_ACCURACY: usize = 64;
 
     fn build(accuracy: usize, _seed: u64, config: ConcurrencyConfig) -> Result<Self::Engine> {
-        ConcurrentFrequencyBuilder::new()
-            .k(accuracy)
-            .config(config)
-            .build()
+        let inner = ConcurrentSketch::start(FrequencyGlobal::new(accuracy)?, config)?;
+        Ok(ConcurrentFrequencySketch { inner, k: accuracy })
     }
 }
 
@@ -413,7 +433,9 @@ impl<F: Family> EngineBuilder<F> {
         self
     }
 
-    /// Splits the global sketch into `K` shards.
+    /// Splits the global sketch into `K` shards: writers are
+    /// round-robined onto shards and queries merge the shard views
+    /// losslessly. `r = 2Nb` is unchanged.
     pub fn shards(mut self, shards: usize) -> Self {
         self.config.shards = shards;
         self
@@ -426,7 +448,10 @@ impl<F: Family> EngineBuilder<F> {
     }
 
     /// Publishes each shard's mergeable image only on every `m`-th
-    /// merge (default 1).
+    /// merge (default 1; see [`ConcurrencyConfig::image_every`]). Θ and
+    /// HLL skip image publication in between; Quantiles publishes its
+    /// ladder on every merge, so there the knob adds no staleness, though
+    /// `query_relaxation` still reports the conservative bound.
     pub fn image_every(mut self, m: u64) -> Self {
         self.config.image_every = m;
         self
@@ -532,5 +557,65 @@ mod tests {
             .shards(4)
             .build()
             .is_err());
+
+        // Every shared knob reaches the engine of every family. In the
+        // first config `e` sets `b`, in the second `max_buffer_size` caps
+        // it; `shards` and `image_every` show in the query bound.
+        fn knobs<F: Family>(e: f64, max_b: u64) -> F::Engine {
+            EngineBuilder::<F>::new()
+                .writers(4)
+                .shards(2)
+                .max_buffer_size(max_b)
+                .max_concurrency_error(e)
+                .image_every(3)
+                .build()
+                .unwrap()
+        }
+        for (e, max_b) in [(0.1, 64), (1.0, 8)] {
+            let config = ConcurrencyConfig {
+                writers: 4,
+                shards: 2,
+                max_buffer_size: max_b,
+                max_concurrency_error: e,
+                image_every: 3,
+                ..ConcurrencyConfig::default()
+            };
+            let r = config.relaxation();
+            let qr = config.query_relaxation();
+            assert!(qr > r, "image_every must widen the query bound");
+            let theta = knobs::<ThetaFamily>(e, max_b);
+            assert_eq!((theta.relaxation(), theta.query_relaxation()), (r, qr));
+            let quantiles = knobs::<QuantilesFamily>(e, max_b);
+            assert_eq!(
+                (quantiles.relaxation(), quantiles.query_relaxation()),
+                (r, qr)
+            );
+            assert_eq!(knobs::<HllFamily>(e, max_b).relaxation(), r);
+            assert_eq!(knobs::<FrequencyFamily>(e, max_b).relaxation(), r);
+        }
+    }
+
+    #[test]
+    fn out_of_range_log_accuracy_is_an_error() {
+        // `as u8` would wrap these onto valid sizes (268 → lg_k 12,
+        // 266 → lg_m 10).
+        for err in [
+            EngineBuilder::<ThetaFamily>::new()
+                .accuracy(268)
+                .build()
+                .map(|_| ()),
+            EngineBuilder::<HllFamily>::new()
+                .accuracy(266)
+                .build()
+                .map(|_| ()),
+        ] {
+            assert!(matches!(
+                err,
+                Err(SketchError::InvalidParameter {
+                    name: "accuracy",
+                    ..
+                })
+            ));
+        }
     }
 }

@@ -13,7 +13,6 @@
 //! epoch pointer, like the Quantiles instantiation.
 
 use crate::composable::{GlobalSketch, LocalSketch};
-use crate::config::{ConcurrencyConfig, PropagationBackendKind};
 use crate::runtime::{ConcurrentSketch, FlushError, SketchWriter};
 use crate::sync::EpochCell;
 use fcds_sketches::error::Result;
@@ -182,10 +181,7 @@ impl<T: Eq + Hash + Clone + Send + Sync + 'static> GlobalSketch for FrequencyGlo
     }
 
     fn new_shard(&self) -> Self {
-        FrequencyGlobal {
-            sketch: MisraGriesSketch::new(self.sketch.k())
-                .expect("shard parameters were already validated"),
-        }
+        FrequencyGlobal::new(self.sketch.k()).expect("shard parameters were already validated")
     }
 
     fn calc_hint(&self) {}
@@ -196,6 +192,13 @@ impl<T: Eq + Hash + Clone + Send + Sync + 'static> GlobalSketch for FrequencyGlo
 }
 
 impl<T: Eq + Hash + Clone + Send + Sync + 'static> FrequencyGlobal<T> {
+    /// Wraps an empty summary with `k` counters.
+    pub(crate) fn new(k: usize) -> Result<Self> {
+        Ok(FrequencyGlobal {
+            sketch: MisraGriesSketch::new(k)?,
+        })
+    }
+
     fn snapshot_now(&self) -> FrequencySnapshot<T> {
         let counters: HashMap<T, u64> = self
             .sketch
@@ -211,91 +214,20 @@ impl<T: Eq + Hash + Clone + Send + Sync + 'static> FrequencyGlobal<T> {
     }
 }
 
-/// Builder for [`ConcurrentFrequencySketch`].
-///
-/// **Deprecated:** prefer the family-generic
+/// Concurrent heavy-hitters sketch. Build one with
 /// [`EngineBuilder<FrequencyFamily<T>>`](crate::engine::EngineBuilder),
-/// which shares one set of concurrency knobs across all four sketch
-/// families. This per-family builder remains as a thin shim for one
-/// release and will be removed.
-#[derive(Debug, Clone)]
-pub struct ConcurrentFrequencyBuilder {
-    k: usize,
-    config: ConcurrencyConfig,
-}
-
-impl Default for ConcurrentFrequencyBuilder {
-    fn default() -> Self {
-        ConcurrentFrequencyBuilder {
-            k: 64,
-            config: ConcurrencyConfig::default(),
-        }
-    }
-}
-
-impl ConcurrentFrequencyBuilder {
-    /// Starts from defaults: 64 counters, `e = 0.04`, one writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the maximum number of counters `k`.
-    pub fn k(mut self, k: usize) -> Self {
-        self.k = k;
-        self
-    }
-
-    /// Sets the expected number of update threads.
-    pub fn writers(mut self, writers: usize) -> Self {
-        self.config.writers = writers;
-        self
-    }
-
-    /// Sets the maximum relative error attributable to concurrency.
-    pub fn max_concurrency_error(mut self, e: f64) -> Self {
-        self.config.max_concurrency_error = e;
-        self
-    }
-
-    /// Splits the summary into `K` shards (writers round-robined, queries
-    /// sum the shards' counter tables).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards;
-        self
-    }
-
-    /// Selects the propagation backend.
-    pub fn backend(mut self, backend: PropagationBackendKind) -> Self {
-        self.config.backend = backend;
-        self
-    }
-
-    /// Overrides the full concurrency configuration.
-    pub fn config(mut self, config: ConcurrencyConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Builds and starts the sketch.
-    pub fn build<T: Eq + Hash + Clone + Send + Sync + 'static>(
-        self,
-    ) -> Result<ConcurrentFrequencySketch<T>> {
-        let global = FrequencyGlobal {
-            sketch: MisraGriesSketch::new(self.k)?,
-        };
-        let inner = ConcurrentSketch::start(global, self.config)?;
-        Ok(ConcurrentFrequencySketch { inner, k: self.k })
-    }
-}
-
-/// Concurrent heavy-hitters sketch.
+/// whose `accuracy` is the counter budget `k`.
 ///
 /// # Examples
 ///
 /// ```
-/// use fcds_core::frequency::ConcurrentFrequencyBuilder;
+/// use fcds_core::engine::{EngineBuilder, FrequencyFamily};
 ///
-/// let sketch = ConcurrentFrequencyBuilder::new().k(32).writers(2).build::<u64>().unwrap();
+/// let sketch = EngineBuilder::<FrequencyFamily<u64>>::new()
+///     .accuracy(32) // k counters
+///     .writers(2)
+///     .build()
+///     .unwrap();
 /// let mut w = sketch.writer();
 /// for i in 0..10_000u64 {
 ///     w.update(if i % 4 == 0 { 7 } else { i });
@@ -306,8 +238,8 @@ impl ConcurrentFrequencyBuilder {
 /// assert!(snap.estimate(&7).upper_bound >= 2_500);
 /// ```
 pub struct ConcurrentFrequencySketch<T: Eq + Hash + Clone + Send + Sync + 'static> {
-    inner: ConcurrentSketch<FrequencyGlobal<T>>,
-    k: usize,
+    pub(crate) inner: ConcurrentSketch<FrequencyGlobal<T>>,
+    pub(crate) k: usize,
 }
 
 impl<T: Eq + Hash + Clone + Send + Sync + 'static> std::fmt::Debug
@@ -319,11 +251,6 @@ impl<T: Eq + Hash + Clone + Send + Sync + 'static> std::fmt::Debug
 }
 
 impl<T: Eq + Hash + Clone + Send + Sync + 'static> ConcurrentFrequencySketch<T> {
-    /// Shorthand for [`ConcurrentFrequencyBuilder::new`].
-    pub fn builder() -> ConcurrentFrequencyBuilder {
-        ConcurrentFrequencyBuilder::new()
-    }
-
     /// Registers an update thread.
     pub fn writer(&self) -> FrequencyWriter<T> {
         FrequencyWriter {
@@ -425,14 +352,15 @@ impl<T: Eq + Hash + Clone + Send + Sync + 'static> FrequencyWriter<T> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::config::PropagationBackendKind;
+    use crate::engine::{EngineBuilder, FrequencyFamily};
 
     #[test]
     fn heavy_hitter_survives_concurrency() {
-        let sketch = ConcurrentFrequencyBuilder::new()
-            .k(32)
+        let sketch = EngineBuilder::<FrequencyFamily<u64>>::new()
+            .accuracy(32)
             .writers(4)
-            .build::<u64>()
+            .build()
             .unwrap();
         let per = crate::test_support::scaled(50_000);
         std::thread::scope(|s| {
@@ -469,11 +397,11 @@ mod tests {
     fn local_preaggregation_counts_duplicates() {
         // All updates are the same key: local buffers collapse them, and
         // the merged weight must equal the stream length exactly.
-        let sketch = ConcurrentFrequencyBuilder::new()
-            .k(8)
+        let sketch = EngineBuilder::<FrequencyFamily<&'static str>>::new()
+            .accuracy(8)
             .writers(2)
             .max_concurrency_error(1.0)
-            .build::<&'static str>()
+            .build()
             .unwrap();
         std::thread::scope(|s| {
             for _ in 0..2 {
@@ -494,10 +422,10 @@ mod tests {
 
     #[test]
     fn eager_phase_small_stream_exact() {
-        let sketch = ConcurrentFrequencyBuilder::new()
-            .k(16)
+        let sketch = EngineBuilder::<FrequencyFamily<u64>>::new()
+            .accuracy(16)
             .writers(1)
-            .build::<u64>()
+            .build()
             .unwrap();
         let mut w = sketch.writer();
         for i in 0..100u64 {
@@ -518,13 +446,13 @@ mod tests {
             PropagationBackendKind::DedicatedThread,
             PropagationBackendKind::WriterAssisted,
         ] {
-            let sketch = ConcurrentFrequencyBuilder::new()
-                .k(16)
+            let sketch = EngineBuilder::<FrequencyFamily<u64>>::new()
+                .accuracy(16)
                 .writers(4)
                 .shards(2)
                 .max_concurrency_error(1.0)
                 .backend(backend)
-                .build::<u64>()
+                .build()
                 .unwrap();
             // Multiple of 8 so every key gets exactly per/8 occurrences.
             let per = crate::test_support::scaled(10_000) / 8 * 8;
@@ -549,10 +477,10 @@ mod tests {
 
     #[test]
     fn string_keys_work() {
-        let sketch = ConcurrentFrequencyBuilder::new()
-            .k(16)
+        let sketch = EngineBuilder::<FrequencyFamily<String>>::new()
+            .accuracy(16)
             .writers(1)
-            .build::<String>()
+            .build()
             .unwrap();
         let mut w = sketch.writer();
         for i in 0..1_000u64 {

@@ -1,5 +1,6 @@
 //! The generic concurrent sketch engine — Algorithm 2 of the paper,
-//! generalised to a K-way sharded global with pluggable propagation.
+//! generalised to a K-way sharded global with a selectable propagation
+//! backend.
 //!
 //! [`ConcurrentSketch`] wires together:
 //!
@@ -381,9 +382,8 @@ impl<G: GlobalSketch> EngineCore<G> {
 /// work must go through [`EngineCore::drain_shard`] /
 /// [`EngineCore::try_drain_shard`] (or, for service threads spawned by
 /// [`Self::spawn`], the same primitives in a loop), which serialise the
-/// propagator side on the shard lock. Implement this trait to plug a
-/// custom policy (e.g., an async-runtime task per shard) into
-/// [`ConcurrentSketch::start_with_backend`].
+/// propagator side on the shard lock. [`ConcurrentSketch::start`] picks
+/// the implementation named by [`ConcurrencyConfig::backend`].
 pub trait PropagationBackend<G: GlobalSketch>: Send + Sync + 'static {
     /// Called once at engine start; spawns any service threads. The
     /// engine sets the shutdown flag and joins the returned handles on
@@ -518,24 +518,6 @@ impl<G: GlobalSketch> ConcurrentSketch<G> {
     ///
     /// Returns an error if the configuration is invalid.
     pub fn start(global: G, config: ConcurrencyConfig) -> Result<Self> {
-        let backend: Arc<dyn PropagationBackend<G>> = match config.backend {
-            PropagationBackendKind::DedicatedThread => Arc::new(DedicatedThreadBackend),
-            PropagationBackendKind::WriterAssisted => Arc::new(WriterAssistedBackend),
-        };
-        Self::start_with_backend(global, config, backend)
-    }
-
-    /// Starts the engine with an explicit (possibly custom) propagation
-    /// backend; `config.backend` is ignored in favour of `backend`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the configuration is invalid.
-    pub fn start_with_backend(
-        global: G,
-        config: ConcurrencyConfig,
-        backend: Arc<dyn PropagationBackend<G>>,
-    ) -> Result<Self> {
         config.validate()?;
         let eager_limit = config.eager_limit();
         let lazy_b = config.buffer_size();
@@ -584,6 +566,10 @@ impl<G: GlobalSketch> ConcurrentSketch<G> {
             shutdown: AtomicBool::new(false),
             counters: Counters::default(),
         });
+        let backend: Arc<dyn PropagationBackend<G>> = match shared.config.backend {
+            PropagationBackendKind::DedicatedThread => Arc::new(DedicatedThreadBackend),
+            PropagationBackendKind::WriterAssisted => Arc::new(WriterAssistedBackend),
+        };
         let handles = backend.spawn(&shared);
         Ok(ConcurrentSketch {
             shared,

@@ -7,11 +7,11 @@
 //! This facade crate re-exports the three library crates of the workspace:
 //!
 //! * [`sketches`] — sequential sketch substrate: Θ sketches (KMV and
-//!   quick-select), the Quantiles sketch, HLL, reservoir sampling, and the
+//!   quick-select), the Quantiles sketch, HLL, Misra–Gries, and the
 //!   MurmurHash3 hash the sketches are built on.
 //! * [`core`] — the paper's contribution: the generic strongly-linearisable
 //!   concurrent sketch framework (`ParSketch`/`OptParSketch`), generalised
-//!   to a K-way sharded engine with pluggable propagation backends
+//!   to a K-way sharded engine with selectable propagation backends
 //!   (dedicated thread per shard, or threadless writer-assisted); its Θ,
 //!   Quantiles, HLL and frequency instantiations; and the lock-based
 //!   baseline.
@@ -33,10 +33,10 @@
 //! ## Quick start
 //!
 //! ```
-//! use fcds::core::theta::ConcurrentThetaBuilder;
+//! use fcds::core::engine::{EngineBuilder, ThetaFamily};
 //!
-//! let sketch = ConcurrentThetaBuilder::new()
-//!     .lg_k(12)
+//! let sketch = EngineBuilder::<ThetaFamily>::new()
+//!     .accuracy(12) // lg_k: k = 4096
 //!     .writers(2)
 //!     .max_concurrency_error(0.04)
 //!     .build()
@@ -92,11 +92,9 @@ pub use fcds_sketches::wire::{
     MergeScratch, MgWireView, PeekedHeader, ThetaFanin, ThetaWireView,
 };
 
-// The family-generic engine tier: one builder and one object-safe
+// The family-generic engine tier: the one builder and one object-safe
 // engine trait across all four concurrent sketches. This is what the
-// multi-stream server's per-key registry is built on, and the
-// replacement for the four per-family builders (which remain as thin
-// deprecated shims for one release).
+// multi-stream server's per-key registry is built on.
 pub use fcds_core::{
     EngineBuilder, EngineWriter, Family, FrequencyFamily, HllFamily, QuantilesFamily, StreamEngine,
     ThetaFamily, WireImage,
