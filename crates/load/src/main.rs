@@ -19,16 +19,18 @@
 //! default 8), the two-server replica-sync drill (`--sync-period-ms`
 //! push period), and the crash drill (a real `fcds-server` process
 //! with `--snapshot-ms` checkpoints, SIGKILLed mid-checkpoint and
-//! restarted against its data dir). `--full` lengthens every window
-//! for lower-variance numbers.
+//! restarted against its data dir). Last, it times the frame and
+//! snapshot checksum (`crc32c`) against its portable path. `--full`
+//! lengthens every window for lower-variance numbers.
 
 use fcds_bench::gate::{
     DURABILITY_CORRUPT_ACCEPTED_MAX, DURABILITY_RECOVERY_S_MAX, DURABILITY_RELERR_MAX,
-    DURABILITY_STREAMS_RECOVERED_MIN, SERVE_FAULT_CLASSES_SURVIVED_MIN,
-    SERVE_INGEST_MITEMS_PER_S_MIN, SERVE_MULTISTREAM_INGEST_MITEMS_PER_S_MIN,
-    SERVE_MULTISTREAM_ISOLATION_MIN, SERVE_MULTISTREAM_QUERY_P99_MS_MAX,
-    SERVE_MULTISTREAM_TYPED_COVERAGE_MIN, SERVE_QUERY_P99_MS_MAX, SERVE_RECOVERY_MS_MAX,
-    SERVE_TYPED_ERROR_COVERAGE_MIN, SYNC_CONVERGENCE_RELERR_MAX, SYNC_CONVERGENCE_STREAMS_MIN,
+    DURABILITY_STREAMS_RECOVERED_MIN, SERVE_CHECKSUM_DISPATCHED_OVER_PORTABLE_MIN,
+    SERVE_FAULT_CLASSES_SURVIVED_MIN, SERVE_INGEST_MITEMS_PER_S_MIN,
+    SERVE_MULTISTREAM_INGEST_MITEMS_PER_S_MIN, SERVE_MULTISTREAM_ISOLATION_MIN,
+    SERVE_MULTISTREAM_QUERY_P99_MS_MAX, SERVE_MULTISTREAM_TYPED_COVERAGE_MIN,
+    SERVE_QUERY_P99_MS_MAX, SERVE_RECOVERY_MS_MAX, SERVE_TYPED_ERROR_COVERAGE_MIN,
+    SYNC_CONVERGENCE_RELERR_MAX, SYNC_CONVERGENCE_STREAMS_MIN,
 };
 use fcds_bench::report::{HarnessArgs, Table};
 use fcds_load::{
@@ -36,13 +38,43 @@ use fcds_load::{
     CrashDrillReport, LoadConfig, MultiStreamConfig, MultiStreamReport, ScenarioReport, SyncConfig,
     SyncReport, FAMILIES,
 };
+use fcds_server::checksum::{crc32c, crc32c_portable};
 use fcds_server::frame::NackCode;
 use fcds_server::{serve, ServerConfig};
 use std::fmt::Write as _;
-use std::time::Duration;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 fn ms(ns: u64) -> f64 {
     ns as f64 / 1.0e6
+}
+
+/// The frame and snapshot checksum on its own: the dispatched
+/// `crc32c` and the portable path, timed alternately over the same
+/// 1 MiB buffer. Returns the dispatched path's throughput in GB/s and
+/// its speed over the portable path, both from per-side medians.
+fn measure_checksum() -> (f64, f64) {
+    const LEN: usize = 1 << 20;
+    const ROUNDS: usize = 21;
+    let buf: Vec<u8> = (0..LEN as u64)
+        .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+        .collect();
+    let time = |f: fn(&[&[u8]]) -> u32| {
+        let t = Instant::now();
+        black_box(f(&[black_box(&buf)]));
+        t.elapsed().as_secs_f64()
+    };
+    let (mut dispatched, mut portable) = (Vec::new(), Vec::new());
+    for _ in 0..ROUNDS {
+        dispatched.push(time(crc32c));
+        portable.push(time(crc32c_portable));
+    }
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (d, p) = (median(&mut dispatched), median(&mut portable));
+    (LEN as f64 / d / 1e9, p / d)
 }
 
 fn main() {
@@ -143,7 +175,20 @@ fn main() {
     let crash_report = run_crash_drill(&crash_cfg).expect("run crash drill");
     print_crash(&crash_report);
 
-    let json = render_json(&report, &cfg, &ms_report, &sync_report, &crash_report);
+    let checksum = measure_checksum();
+    println!(
+        "checksum: crc32c {:.2} GB/s, {:.2}x the portable path",
+        checksum.0, checksum.1
+    );
+
+    let json = render_json(
+        &report,
+        &cfg,
+        &ms_report,
+        &sync_report,
+        &crash_report,
+        checksum,
+    );
     std::fs::create_dir_all(&args.out_dir).expect("create out dir");
     let path = format!("{}/BENCH_serve.json", args.out_dir);
     std::fs::write(&path, &json).expect("write BENCH_serve.json");
@@ -271,6 +316,7 @@ fn render_json(
     msr: &MultiStreamReport,
     sync: &SyncReport,
     crash: &CrashDrillReport,
+    (checksum_gbps, checksum_ratio): (f64, f64),
 ) -> String {
     let survived = r.phases.iter().filter(|p| p.survived).count();
     let worst_recovery_ms = r
@@ -366,7 +412,9 @@ fn render_json(
          \"durability_recovery_s\": {cr_recovery:.4},\n    \
          \"durability_streams_recovered\": {cr_recovered}.0,\n    \
          \"durability_relerr\": {cr_err:.4},\n    \
-         \"durability_corrupt_accepted\": {cr_corrupt}.0\n  }},\n  \
+         \"durability_corrupt_accepted\": {cr_corrupt}.0,\n    \
+         \"checksum_gb_per_s\": {checksum_gbps:.3},\n    \
+         \"checksum_dispatched_over_portable\": {checksum_ratio:.3}\n  }},\n  \
          \"thresholds\": {{\n    \
          \"ingest_mitems_per_s_min\": {thr_ips},\n    \
          \"query_p99_ms_max\": {thr_p99},\n    \
@@ -382,7 +430,8 @@ fn render_json(
          \"durability_recovery_s_max\": {thr_cr_recovery},\n    \
          \"durability_streams_recovered_min\": {thr_cr_streams},\n    \
          \"durability_relerr_max\": {thr_cr_err},\n    \
-         \"durability_corrupt_accepted_max\": {thr_cr_corrupt}\n  }}\n}}\n",
+         \"durability_corrupt_accepted_max\": {thr_cr_corrupt},\n    \
+         \"checksum_dispatched_over_portable_min\": {thr_checksum}\n  }}\n}}\n",
         writers = cfg.writers,
         queriers = cfg.queriers,
         batch = cfg.batch_size,
@@ -442,5 +491,6 @@ fn render_json(
         thr_cr_streams = DURABILITY_STREAMS_RECOVERED_MIN,
         thr_cr_err = DURABILITY_RELERR_MAX,
         thr_cr_corrupt = DURABILITY_CORRUPT_ACCEPTED_MAX,
+        thr_checksum = SERVE_CHECKSUM_DISPATCHED_OVER_PORTABLE_MIN,
     )
 }

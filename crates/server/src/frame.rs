@@ -12,15 +12,24 @@
 //! | 5      | 1    | `flags`       | must be 0 in v1                           |
 //! | 6      | 2    | `seq`         | client sequence number, echoed in replies |
 //! | 8      | 4    | `payload_len` | payload bytes following the header        |
-//! | 12     | 4    | `checksum`    | FNV-1a 32 over the payload                |
+//! | 12     | 4    | `checksum`    | CRC-32C over the payload                  |
 //!
-//! The checksum is not cryptographic — it exists so a bit-flipped
-//! payload (a real fault class for long-lived TCP streams through
-//! middleboxes, and one the fault-injection harness synthesises) turns
-//! into a typed NACK instead of a garbage merge. Header corruption is
-//! caught by the magic/type/flags checks; payload corruption by the
-//! checksum; declared-length abuse by the server's configured cap
-//! *before* any buffer is sized from it.
+//! The checksum ([`crate::checksum::crc32c`]) is not cryptographic —
+//! it exists so a bit-flipped payload (a real fault class for
+//! long-lived TCP streams through middleboxes, and one the
+//! fault-injection harness synthesises) turns into a typed NACK instead
+//! of a garbage merge. CRC-32C catches every single-bit flip and every
+//! error burst of 32 bits or less. Header corruption is caught by the
+//! magic/type/flags checks; payload corruption by the checksum;
+//! declared-length abuse by the server's configured cap *before* any
+//! buffer is sized from it.
+//!
+//! Earlier builds put FNV-1a 32 in the same field, with the same header
+//! layout and magic. The two do not interoperate: a frame from such a
+//! peer fails the checksum (unless its FNV-1a and CRC-32C happen to
+//! agree, a 1-in-2³² coincidence) and is answered with a typed
+//! [`NackCode::Checksum`] NACK; its replies fail the same check on the
+//! other side.
 //!
 //! # FCF1 v2: stream-addressed frames
 //!
@@ -243,7 +252,7 @@ pub enum HeaderError {
         /// The receiver's cap.
         cap: u32,
     },
-    /// The payload's FNV-1a 32 does not match the header.
+    /// The payload's CRC-32C does not match the header.
     ChecksumMismatch {
         /// Checksum the header declared.
         declared: u32,
@@ -315,7 +324,13 @@ pub struct ParsedHeader {
     pub checksum: u32,
 }
 
-/// FNV-1a 32-bit over `data`.
+/// FNV-1a 32-bit over `data`, byte at a time.
+///
+/// On no frame or snapshot path any more: frames and snapshot records
+/// carry CRC-32C ([`crate::checksum::crc32c`]). It keeps its public
+/// signature only because the perfbench ledger entry
+/// `frame.checksum_ns_per_byte` still times it; that entry is to be
+/// pointed at `crc32c` and this function deleted together.
 pub fn fnv1a32(data: &[u8]) -> u32 {
     let mut h: u32 = 0x811c_9dc5;
     for &b in data {
@@ -390,7 +405,7 @@ pub fn parse_header(
 /// flight.
 pub fn check_payload(header: &ParsedHeader, payload: &[u8]) -> Result<(), HeaderError> {
     debug_assert_eq!(payload.len() as u32, header.payload_len);
-    let computed = fnv1a32(payload);
+    let computed = crate::checksum::crc32c(&[payload]);
     if computed != header.checksum {
         return Err(HeaderError::ChecksumMismatch {
             declared: header.checksum,
@@ -417,7 +432,7 @@ pub fn encode_frame_flags(ftype: FrameType, flags: u8, seq: u16, payload: &[u8])
     out.push(flags);
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a32(payload).to_le_bytes());
+    out.extend_from_slice(&crate::checksum::crc32c(&[payload]).to_le_bytes());
     out.extend_from_slice(payload);
     out
 }
@@ -635,20 +650,83 @@ mod tests {
         assert_eq!(err.nack_code(), NackCode::PayloadTooLarge);
     }
 
+    /// A deterministic 4 KiB payload (xorshift64 bytes).
+    fn payload_4k() -> Vec<u8> {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        (0..4096)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
+    /// The header a receiver parses for `payload` sent as a Merge frame.
+    fn merge_header(payload: &[u8]) -> ParsedHeader {
+        let bytes = encode_frame(FrameType::Merge, 3, payload);
+        parse(&bytes).unwrap()
+    }
+
     #[test]
     fn checksum_catches_single_bit_flips() {
-        let payload = b"the payload under test".to_vec();
-        let bytes = encode_frame(FrameType::Merge, 3, &payload);
-        let header: [u8; FRAME_HEADER_LEN] = bytes[..FRAME_HEADER_LEN].try_into().unwrap();
-        let parsed = parse_header(&header, u32::MAX, true).unwrap();
-        for bit in 0..payload.len() * 8 {
+        for payload in [b"the payload under test".to_vec(), payload_4k()] {
+            let parsed = merge_header(&payload);
             let mut corrupted = payload.clone();
-            corrupted[bit / 8] ^= 1 << (bit % 8);
-            let err = check_payload(&parsed, &corrupted).unwrap_err();
-            assert_eq!(err.nack_code(), NackCode::Checksum);
-            assert!(!err.closes_connection());
+            for bit in 0..payload.len() * 8 {
+                corrupted[bit / 8] ^= 1 << (bit % 8);
+                let err = check_payload(&parsed, &corrupted).unwrap_err();
+                assert_eq!(err.nack_code(), NackCode::Checksum);
+                assert!(!err.closes_connection());
+                corrupted[bit / 8] ^= 1 << (bit % 8);
+            }
+            check_payload(&parsed, &payload).unwrap();
         }
-        check_payload(&parsed, &payload).unwrap();
+    }
+
+    /// CRC-32C detects every error burst of at most 32 bits. At 64 bit
+    /// offsets spread over a 4 KiB payload, flip every burst of up to
+    /// 12 bits (every interior pattern), and for longer bursts up to 32
+    /// bits the all-ones burst, the burst that flips only its two end
+    /// bits, and two bursts with pseudo-random interiors.
+    #[test]
+    fn checksum_catches_every_burst_up_to_32_bits() {
+        let payload = payload_4k();
+        let parsed = merge_header(&payload);
+        let total_bits = payload.len() * 8;
+        let mut x = 0x9E37_79B9u32;
+        for len in 1..=32usize {
+            let ends = if len == 1 { 1 } else { 1 | 1 << (len - 1) };
+            let ones = if len == 32 { u32::MAX } else { (1 << len) - 1 };
+            let patterns: Vec<u32> = if len <= 12 {
+                (0..=ones).filter(|p| p & ends == ends).collect()
+            } else {
+                let mut random = || {
+                    x ^= x << 13;
+                    x ^= x >> 17;
+                    x ^= x << 5;
+                    (x & ones) | ends
+                };
+                vec![ones, ends, random(), random()]
+            };
+            for k in 0..64 {
+                let start = k * (total_bits - 40) / 63 + k % 8;
+                for &pattern in &patterns {
+                    let mut corrupted = payload.clone();
+                    for i in (0..len).filter(|i| pattern >> i & 1 == 1) {
+                        let bit = start + i;
+                        corrupted[bit / 8] ^= 1 << (bit % 8);
+                    }
+                    let err = check_payload(&parsed, &corrupted).unwrap_err();
+                    assert_eq!(
+                        err.nack_code(),
+                        NackCode::Checksum,
+                        "burst {pattern:#x} of {len} bits at bit {start}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -62,6 +62,7 @@
 //! merges are not (Quantiles concat, Misra–Gries counter addition).
 
 pub mod breaker;
+pub mod checksum;
 pub mod client;
 pub mod frame;
 pub mod persist;

@@ -11,20 +11,20 @@
 //! writes it via write-to-temp + optional fsync + atomic rename. A
 //! crash at any byte boundary therefore leaves either the old snapshot
 //! or the new one, never a torn file, and anything torn anyway (e.g. a
-//! dying disk) is caught by the record's CRC at recovery and
+//! dying disk) is caught by the record's CRC-32C at recovery and
 //! quarantined, never trusted.
 //!
-//! # Snapshot record layout (version 1)
+//! # Snapshot record layout (version 2)
 //!
 //! ```text
 //! offset  size       field
 //! 0       4          magic "FCSN"
-//! 4       1          version (1)
+//! 4       1          version (2)
 //! 5       1          sketch family code (1..=4)
 //! 6       2          key length, u16 LE (1..=64)
 //! 8       8          last-persisted sequence, u64 LE (items counter)
 //! 16      8          image length, u64 LE
-//! 24      4          CRC-32 (IEEE), u32 LE, over bytes [0..24] ++ key ++ image
+//! 24      4          CRC-32C, u32 LE, over bytes [0..24] ++ key ++ image
 //! 28      klen       stream key
 //! 28+klen image_len  fcds-wire envelope (the versioned PR 6 format)
 //! ```
@@ -37,11 +37,17 @@
 //! mismatch (the file's actual length no longer matches), and
 //! everything else to a CRC mismatch.
 //!
+//! Version 1 has the same layout with the IEEE CRC-32 in the CRC slot.
+//! Recovery still reads it, checked by that CRC, and marks the stream
+//! dirty, so the first checkpoint after boot rewrites the file as
+//! version 2. Nothing writes version 1 any more.
+//!
 //! The durability contract this buys (documented in the README):
 //! bounded loss of at most one `snapshot_interval` of acked ingest per
 //! stream — recovery is one more *relaxation* in the paper's sense, a
 //! quantified window on top of `r_query`, not a correctness loss.
 
+use crate::checksum::crc32c;
 use crate::recover::SNAP_MAX_IMAGE_BYTES;
 use crate::registry::StreamState;
 use crate::{ServerCtx, POLL_INTERVAL};
@@ -56,8 +62,8 @@ use std::time::Instant;
 
 /// Magic bytes opening every snapshot record.
 pub const SNAP_MAGIC: [u8; 4] = *b"FCSN";
-/// Current snapshot record version.
-pub const SNAP_VERSION: u8 = 1;
+/// Snapshot record version this build writes.
+pub const SNAP_VERSION: u8 = 2;
 /// Fixed header length before the key (see the module docs).
 pub const SNAP_HEADER_LEN: usize = 28;
 /// Suffix of committed snapshot files in a data directory.
@@ -68,54 +74,15 @@ pub const TMP_SUFFIX: &str = ".tmp";
 /// Suffix appended to a snapshot that failed validation at recovery.
 pub const QUARANTINE_SUFFIX: &str = ".quarantine";
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) lookup
-/// table, built at compile time — the container is offline, so no crc
-/// crate.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// Feeds `data` into a running CRC-32 state (start from
-/// `0xFFFF_FFFF`, finish by inverting).
-fn crc32_feed(mut state: u32, data: &[u8]) -> u32 {
-    for &b in data {
-        state = CRC_TABLE[((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
-    }
-    state
-}
-
-/// CRC-32 (IEEE) over the concatenation of `parts`.
-pub fn crc32(parts: &[&[u8]]) -> u32 {
-    let mut state = 0xFFFF_FFFFu32;
-    for p in parts {
-        state = crc32_feed(state, p);
-    }
-    !state
-}
-
-/// Encodes one snapshot record (see the module docs for the layout).
+/// Encodes one version-2 snapshot record (see the module docs for the
+/// layout).
 ///
 /// # Panics
 ///
 /// If `key` is empty or longer than
 /// [`MAX_STREAM_KEY`](crate::frame::MAX_STREAM_KEY) — server-side keys
-/// have already passed frame validation.
+/// have already passed frame validation — or if `image` is longer than
+/// [`SNAP_MAX_IMAGE_BYTES`], which the checkpointer checks first.
 pub fn encode_record(family: SketchFamily, key: &[u8], seq: u64, image: &[u8]) -> Vec<u8> {
     assert!(
         !key.is_empty() && key.len() <= crate::frame::MAX_STREAM_KEY,
@@ -135,7 +102,7 @@ pub fn encode_record(family: SketchFamily, key: &[u8], seq: u64, image: &[u8]) -
     out.extend_from_slice(&(key.len() as u16).to_le_bytes());
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&(image.len() as u64).to_le_bytes());
-    let crc = crc32(&[&out[..24], key, image]);
+    let crc = crc32c(&[&out[..24], key, image]);
     out.extend_from_slice(&crc.to_le_bytes());
     out.extend_from_slice(key);
     out.extend_from_slice(image);
@@ -328,6 +295,16 @@ pub(crate) fn checkpoint_stream(
             return Err(format!("merge for snapshot: {e}"));
         }
     };
+    // Merged accumulated images can outgrow what recovery accepts; such
+    // a stream is counted as a snapshot error each round, and stays
+    // dirty, instead of failing the assert in `encode_record`.
+    if image.len() as u64 > SNAP_MAX_IMAGE_BYTES {
+        restore_dirty();
+        return Err(format!(
+            "snapshot image of {} bytes exceeds cap {SNAP_MAX_IMAGE_BYTES}",
+            image.len()
+        ));
+    }
     let record = encode_record(state.family, &state.key, seq, image.as_ref());
     if let Err(e) = store.put(&snapshot_file_name(&state.key), &record, fsync_file) {
         restore_dirty();

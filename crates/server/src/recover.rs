@@ -3,7 +3,8 @@
 //! server accepts traffic**.
 //!
 //! The decoder trusts nothing: length bounds come before any slicing,
-//! the CRC is recomputed over the whole record, and the embedded wire
+//! the CRC is recomputed over the whole record (CRC-32C for version 2,
+//! the legacy IEEE CRC-32 for version 1), and the embedded wire
 //! image is re-validated with the capped `peek` + full zero-copy view
 //! parse (the same discipline as a network merge) with its family byte
 //! cross-checked against the record header. Every failure is a typed
@@ -13,6 +14,7 @@
 //! quarantined record is kept for forensics but is never re-scanned
 //! and never served.
 
+use crate::checksum::crc32c;
 use crate::persist::{
     snapshot_file_name, SnapshotStore, SNAP_HEADER_LEN, SNAP_MAGIC, SNAP_VERSION,
 };
@@ -28,6 +30,44 @@ use std::sync::Arc;
 /// real image (a 1 MiB frame cap bounds what merges in), low enough
 /// that a corrupted length field cannot drive allocation.
 pub const SNAP_MAX_IMAGE_BYTES: u64 = 64 << 20;
+
+/// The record version written before the switch to CRC-32C: same
+/// layout, IEEE CRC-32 in the CRC slot. Read, never written.
+const SNAP_VERSION_V1: u8 = 1;
+
+/// IEEE 802.3 CRC-32 (reflected polynomial `0xEDB88320`) lookup table,
+/// kept only to check version-1 records.
+const V1_CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+};
+
+/// IEEE CRC-32 over the concatenation of `parts`, byte at a time: the
+/// version-1 record check.
+fn v1_crc32(parts: &[&[u8]]) -> u32 {
+    let mut state = 0xFFFF_FFFFu32;
+    for p in parts {
+        for &b in *p {
+            state = V1_CRC_TABLE[((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
+        }
+    }
+    !state
+}
 
 /// Why a snapshot record was rejected. Every variant quarantines the
 /// file; none of them stops the boot.
@@ -66,7 +106,8 @@ pub enum RecoverError {
         /// Actual file length.
         actual: u64,
     },
-    /// Recomputed CRC-32 does not match the stored one.
+    /// The recomputed CRC (CRC-32C, or IEEE CRC-32 for a version-1
+    /// record) does not match the stored one.
     CrcMismatch {
         /// CRC stored in the record.
         stored: u32,
@@ -101,7 +142,10 @@ impl fmt::Display for RecoverError {
             }
             RecoverError::BadMagic => write!(f, "bad snapshot magic (want \"FCSN\")"),
             RecoverError::BadVersion { got } => {
-                write!(f, "unknown snapshot version {got} (want {SNAP_VERSION})")
+                write!(
+                    f,
+                    "unknown snapshot version {got} (want {SNAP_VERSION_V1} or {SNAP_VERSION})"
+                )
             }
             RecoverError::KeyLength { got } => {
                 write!(f, "key length {got} outside 1..=64")
@@ -143,6 +187,9 @@ impl std::error::Error for RecoverError {}
 pub struct SnapshotRecord {
     /// Sketch family of the stream.
     pub family: SketchFamily,
+    /// The record version it was read from. A version below
+    /// [`SNAP_VERSION`] is rewritten by the first checkpoint.
+    pub version: u8,
     /// The stream key.
     pub key: Vec<u8>,
     /// The stream's items counter at snapshot time.
@@ -161,9 +208,12 @@ pub fn decode_record(bytes: &[u8]) -> Result<SnapshotRecord, RecoverError> {
     if bytes[0..4] != SNAP_MAGIC {
         return Err(RecoverError::BadMagic);
     }
-    if bytes[4] != SNAP_VERSION {
-        return Err(RecoverError::BadVersion { got: bytes[4] });
-    }
+    let version = bytes[4];
+    let crc: fn(&[&[u8]]) -> u32 = match version {
+        SNAP_VERSION => crc32c,
+        SNAP_VERSION_V1 => v1_crc32,
+        got => return Err(RecoverError::BadVersion { got }),
+    };
     let family_code = bytes[5];
     let key_len = u16::from_le_bytes(bytes[6..8].try_into().expect("2 bytes"));
     let seq = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
@@ -186,7 +236,7 @@ pub fn decode_record(bytes: &[u8]) -> Result<SnapshotRecord, RecoverError> {
     }
     let key = &bytes[SNAP_HEADER_LEN..SNAP_HEADER_LEN + key_len as usize];
     let image = &bytes[SNAP_HEADER_LEN + key_len as usize..];
-    let computed = crate::persist::crc32(&[&bytes[..24], key, image]);
+    let computed = crc(&[&bytes[..24], key, image]);
     if computed != stored_crc {
         return Err(RecoverError::CrcMismatch {
             stored: stored_crc,
@@ -206,6 +256,7 @@ pub fn decode_record(bytes: &[u8]) -> Result<SnapshotRecord, RecoverError> {
     }
     Ok(SnapshotRecord {
         family,
+        version,
         key: key.to_vec(),
         seq,
         image: Bytes::from(image.to_vec()),
@@ -308,6 +359,11 @@ fn install(ctx: &Arc<ServerCtx>, rec: SnapshotRecord) -> Result<(), InstallError
                 .push(rec.image);
             state.items.store(rec.seq, Ordering::Release);
             state.persisted_seq.store(rec.seq, Ordering::Release);
+            if rec.version != SNAP_VERSION {
+                // The state is already durable; only the record format
+                // is old. Have the first checkpoint rewrite it.
+                state.snapshot_dirty.store(true, Ordering::Release);
+            }
             Ok(())
         }
         Err(CreateError::FamilyMismatch { expected }) => {

@@ -13,9 +13,9 @@ use fcds_server::client::{Client, Reply};
 use fcds_server::frame::NackCode;
 use fcds_server::persist::{
     encode_record, snapshot_file_name, DirStore, FsyncPolicy, SnapshotStore, QUARANTINE_SUFFIX,
-    SNAP_SUFFIX, TMP_SUFFIX,
+    SNAP_SUFFIX, SNAP_VERSION, TMP_SUFFIX,
 };
-use fcds_server::recover::{decode_record, RecoverError};
+use fcds_server::recover::{decode_record, RecoverError, SNAP_MAX_IMAGE_BYTES};
 use fcds_server::{serve, serve_with_store, BreakerState, ServeError, ServerConfig, ServerHandle};
 use fcds_sketches::wire::{LadderWireView, MgWireView, SketchFamily};
 use std::io;
@@ -106,11 +106,35 @@ fn committed_record(dir: &std::path::Path, key: &[u8], items: u64) -> Vec<u8> {
     std::fs::read(&path).expect("read committed snapshot")
 }
 
+/// A version-1 snapshot record (IEEE CRC-32) exactly as a version-1
+/// build wrote it, and the key it belongs to. See the vector file's
+/// comment line for how it was made and what that build answered.
+fn v1_record() -> (&'static [u8], Vec<u8>) {
+    let hex: String = include_str!("vectors/snapshot_v1_theta.hex")
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .collect();
+    let bytes = (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex vector"))
+        .collect();
+    (b"legacy-v1", bytes)
+}
+
+/// Every record the adversarial suites run over: a version-2 record
+/// committed by the live pipeline, and the version-1 vector.
+fn records_under_test(dir: &std::path::Path, key: &[u8]) -> Vec<Vec<u8>> {
+    vec![committed_record(dir, key, 500), v1_record().1]
+}
+
 #[test]
 fn committed_record_roundtrips_exactly() {
     let dir = tmp_dir("roundtrip");
     let bytes = committed_record(&dir, b"alpha", 1_000);
+    assert_eq!(bytes[4], SNAP_VERSION);
+    assert_eq!(SNAP_VERSION, 2);
     let rec = decode_record(&bytes).expect("valid record decodes");
+    assert_eq!(rec.version, SNAP_VERSION);
     assert_eq!(rec.family, SketchFamily::Theta);
     assert_eq!(rec.key, b"alpha");
     assert_eq!(rec.seq, 1_000);
@@ -125,17 +149,20 @@ fn committed_record_roundtrips_exactly() {
 #[test]
 fn every_truncation_boundary_is_a_typed_error() {
     let dir = tmp_dir("truncate");
-    let bytes = committed_record(&dir, b"trunc", 500);
-    assert!(decode_record(&bytes).is_ok());
-    for len in 0..bytes.len() {
-        let res = decode_record(&bytes[..len]);
-        assert!(
-            res.is_err(),
-            "a {len}-byte prefix of a {}-byte record must not decode",
-            bytes.len()
-        );
-        // The error is typed and printable — no panics, no opaque slots.
-        let _ = res.unwrap_err().to_string();
+    for bytes in records_under_test(&dir, b"trunc") {
+        assert!(decode_record(&bytes).is_ok());
+        for len in 0..bytes.len() {
+            let res = decode_record(&bytes[..len]);
+            assert!(
+                res.is_err(),
+                "a {len}-byte prefix of a {}-byte v{} record must not decode",
+                bytes.len(),
+                bytes[4]
+            );
+            // The error is typed and printable — no panics, no opaque
+            // slots.
+            let _ = res.unwrap_err().to_string();
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -143,30 +170,178 @@ fn every_truncation_boundary_is_a_typed_error() {
 #[test]
 fn every_single_byte_mutation_is_a_typed_error() {
     let dir = tmp_dir("mutate");
-    let bytes = committed_record(&dir, b"mutate", 500);
-    assert!(decode_record(&bytes).is_ok());
-    // The CRC covers bytes [0..24] ++ key ++ image and is itself stored
-    // at [24..28], so no single-byte change anywhere can survive: it
-    // either trips an earlier structural check or the CRC.
-    for offset in 0..bytes.len() {
-        for flip in [0xFFu8, 0x01] {
-            let mut doctored = bytes.clone();
-            doctored[offset] ^= flip;
-            let res = decode_record(&doctored);
-            assert!(
-                res.is_err(),
-                "byte {offset} ^ {flip:#04x} must not decode: {res:?}"
-            );
-            let _ = res.unwrap_err().to_string();
+    for bytes in records_under_test(&dir, b"mutate") {
+        assert!(decode_record(&bytes).is_ok());
+        // The CRC covers bytes [0..24] ++ key ++ image and is itself
+        // stored at [24..28], so no single-byte change anywhere can
+        // survive: it either trips an earlier structural check or the
+        // CRC. That includes turning the version byte into the other
+        // known version, whose CRC is a different function.
+        for offset in 0..bytes.len() {
+            for flip in [0xFFu8, 0x01, 0x03] {
+                let mut doctored = bytes.clone();
+                doctored[offset] ^= flip;
+                let res = decode_record(&doctored);
+                assert!(
+                    res.is_err(),
+                    "v{} byte {offset} ^ {flip:#04x} must not decode: {res:?}",
+                    bytes[4]
+                );
+                let _ = res.unwrap_err().to_string();
+            }
         }
+        // Appended garbage is a length mismatch, not a trailing-ignored
+        // pass.
+        let mut extended = bytes.clone();
+        extended.push(0);
+        assert!(matches!(
+            decode_record(&extended),
+            Err(RecoverError::LengthMismatch { .. })
+        ));
+        // A version no build has written is refused before anything
+        // else is read.
+        let mut future = bytes.clone();
+        future[4] = 3;
+        assert_eq!(
+            decode_record(&future),
+            Err(RecoverError::BadVersion { got: 3 })
+        );
     }
-    // Appended garbage is a length mismatch, not a trailing-ignored pass.
-    let mut extended = bytes.clone();
-    extended.push(0);
-    assert!(matches!(
-        decode_record(&extended),
-        Err(RecoverError::LengthMismatch { .. })
-    ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A data directory written by a version-1 build boots with the same
+/// answers that build gave (recorded beside the vector), and its first
+/// checkpoint rewrites the record as version 2 without changing the
+/// state it holds.
+#[test]
+fn version_1_record_recovers_and_is_rewritten_as_version_2() {
+    let (key, v1) = v1_record();
+    assert_eq!(v1[4], 1, "the vector is a version-1 record");
+    let legacy = decode_record(&v1).expect("version-1 record decodes");
+    assert_eq!(legacy.version, 1);
+    assert_eq!((legacy.key.as_slice(), legacy.seq), (key, 200));
+
+    let dir = tmp_dir("v1-upgrade");
+    let path = dir.join(snapshot_file_name(key));
+    std::fs::write(&path, &v1).expect("plant version-1 record");
+    let handle = serve(durable_config(&dir)).expect("boot on a version-1 directory");
+    let outcome = handle.recovery_outcome().expect("durable tier recovers");
+    assert_eq!(
+        (outcome.recovered, outcome.quarantined),
+        (1, 0),
+        "{outcome:?}"
+    );
+
+    let mut c = connect(&handle);
+    match c.query_stream_estimate(SketchFamily::Theta, key).unwrap() {
+        Reply::Estimate { value, .. } => assert_eq!(value, 200.0),
+        other => panic!("estimate reply: {other:?}"),
+    }
+    match c.query_stream_image(SketchFamily::Theta, key).unwrap() {
+        Reply::Image { bytes, .. } => assert_eq!(bytes, legacy.image.as_ref()),
+        other => panic!("image reply: {other:?}"),
+    }
+
+    // Nothing was ingested, yet the stream is rewritten: the first
+    // checkpoint round after boot upgrades the record.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while handle.stats().snapshots_written == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "version-1 record never rewritten"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let on_disk = std::fs::read(&path).expect("rewritten record");
+    assert_eq!(on_disk[4], SNAP_VERSION);
+    let upgraded = decode_record(&on_disk).expect("rewritten record decodes");
+    assert_eq!(upgraded.version, SNAP_VERSION);
+    assert_eq!(
+        (
+            upgraded.family,
+            &upgraded.key,
+            upgraded.seq,
+            &upgraded.image
+        ),
+        (legacy.family, &legacy.key, legacy.seq, &legacy.image)
+    );
+    drop(c);
+    let drain = handle.shutdown();
+    assert_eq!(drain.leaked_threads, 0);
+    assert_eq!(drain.stats.snapshot_errors, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A stream whose own image outgrows [`SNAP_MAX_IMAGE_BYTES`] is a
+/// counted snapshot error that is retried every round — not a panic
+/// that kills the checkpointer: another stream is still checkpointed
+/// afterwards, and the drain's final checkpoint retries the oversized
+/// stream and counts the error instead of skipping it.
+#[test]
+fn oversized_snapshot_image_is_a_counted_error_not_a_dead_checkpointer() {
+    use fcds_sketches::hash::DEFAULT_SEED;
+    use fcds_sketches::theta::{CompactThetaSketch, THETA_MAX};
+    use fcds_sketches::wire::WireEncode;
+
+    let dir = tmp_dir("oversized");
+    let handle = serve(durable_config(&dir)).expect("serve");
+    let mut c = connect(&handle);
+    // Disjoint exact-mode Θ images of 960 KB each (under the 1 MiB
+    // frame cap); their untrimmed union outgrows the snapshot cap.
+    let per_image = 120_000u64;
+    let images = SNAP_MAX_IMAGE_BYTES / (per_image * 8) + 1;
+    for i in 0..images {
+        let hashes = (1 + i * per_image..=(i + 1) * per_image).collect();
+        let image = CompactThetaSketch::from_parts(THETA_MAX, DEFAULT_SEED, hashes)
+            .unwrap()
+            .to_wire_bytes();
+        let reply = c
+            .merge_stream(SketchFamily::Theta, b"huge", &image)
+            .unwrap();
+        assert!(matches!(reply, Reply::Ack { .. }), "merge {i}: {reply:?}");
+    }
+
+    // Two errors: the failed round kept the stream dirty, so the next
+    // round retried it.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while handle.stats().snapshot_errors < 2 {
+        assert!(
+            Instant::now() < deadline,
+            "oversized stream not counted twice: {:?}",
+            handle.stats()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    ingest_all(
+        &mut c,
+        SketchFamily::Theta,
+        b"small",
+        &(0..100).collect::<Vec<_>>(),
+    );
+    let small = dir.join(snapshot_file_name(b"small"));
+    while !small.exists() {
+        assert!(
+            Instant::now() < deadline,
+            "checkpointer stopped after the oversized stream"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // A snapshot committed while the stream was still under the cap
+    // stays a valid record.
+    if let Ok(bytes) = std::fs::read(dir.join(snapshot_file_name(b"huge"))) {
+        decode_record(&bytes).expect("earlier snapshot of the oversized stream");
+    }
+    drop(c);
+    let before = handle.stats().snapshot_errors;
+    let drain = handle.shutdown();
+    assert_eq!(drain.leaked_threads, 0);
+    assert!(
+        drain.stats.snapshot_errors > before,
+        "the final checkpoint skipped the oversized stream: {} errors before the drain, {} after",
+        before,
+        drain.stats.snapshot_errors
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
