@@ -26,12 +26,13 @@
 //! * Each update thread buffers into a local sketch and hands it off via
 //!   a single atomic (`prop_i`) every `b` updates — one memory fence per
 //!   batch ([`sync::PropSlot`]).
-//! * A [`runtime::PropagationBackend`] merges local buffers into the
-//!   writer's shard and *publishes* a snapshot through an atomic view
-//!   (Θ: a seqlock triple; Quantiles: an epoch-managed pointer) —
-//!   queries never touch the global sketches and never block. The
-//!   default is the paper's dedicated thread, one per shard; the
-//!   writer-assisted backend removes the background thread entirely.
+//! * A propagation backend (selected by [`PropagationBackendKind`])
+//!   merges local buffers into the writer's shard and *publishes* a
+//!   snapshot through an atomic view (Θ: a seqlock triple; Quantiles: an
+//!   epoch-managed pointer) — queries never touch the global sketches
+//!   and never block. The default is the paper's dedicated thread, one
+//!   per shard; the writer-assisted backend removes the background
+//!   thread entirely.
 //! * Queries merge the `K` shard views losslessly
 //!   ([`composable::GlobalSketch::merge_shard_views`]): Θ unions, HLL
 //!   register max, Quantiles sample union, Misra–Gries counter addition.
@@ -83,10 +84,7 @@ pub use engine::{
     EngineBuilder, EngineWriter, Family, FrequencyFamily, HllFamily, QuantilesFamily, StreamEngine,
     ThetaFamily, WireImage,
 };
-pub use runtime::{
-    ConcurrentSketch, DedicatedThreadBackend, FlushError, PropagationBackend, SketchWriter,
-    WriterAssistedBackend,
-};
+pub use runtime::{ConcurrentSketch, FlushError, SketchWriter};
 
 /// Test-only helpers shared by this crate's heavy suites and the facade
 /// integration tests. Not part of the public API.

@@ -8,12 +8,13 @@
 //!   double-buffered local sketch (`localS_i[2]`, `cur_i`), round-robined
 //!   onto `K` **shards** (independent global sketches with their own
 //!   views and worker registries);
-//! * a [`PropagationBackend`] that merges handed-off local buffers into
+//! * a propagation backend that merges handed-off local buffers into
 //!   their shard and piggy-backs hints on the `prop_i` atomics
-//!   (lines 110–115). Two backends ship: [`DedicatedThreadBackend`] — the
-//!   paper's background thread `t0`, one per shard — and
-//!   [`WriterAssistedBackend`], which has no threads at all: the flushing
-//!   writer drains its shard under a try-lock;
+//!   (lines 110–115), selected by [`PropagationBackendKind`]. Two
+//!   backends ship: `DedicatedThreadBackend` — the paper's background
+//!   thread `t0`, one per shard — and `WriterAssistedBackend`, which has
+//!   no threads at all: the flushing writer drains its shard under a
+//!   try-lock;
 //! * any number of query threads reading snapshots from the shards'
 //!   published views (lines 116–118), merged losslessly across shards
 //!   ([`GlobalSketch::merge_shard_views`]), never blocking on and never
@@ -186,7 +187,7 @@ struct ShardState<G: GlobalSketch> {
 /// backends, and query threads. Backends receive `&EngineCore` and drive
 /// propagation through [`EngineCore::drain_shard`] /
 /// [`EngineCore::try_drain_shard`].
-pub struct EngineCore<G: GlobalSketch> {
+pub(crate) struct EngineCore<G: GlobalSketch> {
     shards: Vec<ShardState<G>>,
     /// `shards.len() > 1`; selects `publish_sharded` over `publish`.
     sharded: bool,
@@ -219,20 +220,20 @@ impl<G: GlobalSketch> std::fmt::Debug for EngineCore<G> {
 
 impl<G: GlobalSketch> EngineCore<G> {
     /// Number of shards `K`.
-    pub fn shard_count(&self) -> usize {
+    pub(crate) fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
     /// Whether the engine handle has been dropped (backend service
     /// threads should exit once this is set and their shard is drained).
-    pub fn is_shutting_down(&self) -> bool {
+    pub(crate) fn is_shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
     }
 
     /// Marks `shard`'s propagation service as dead (see
     /// [`FlushError::PropagatorDead`]). Called by backends whose service
     /// thread for the shard is unwinding; once set it never clears.
-    pub fn mark_propagator_dead(&self, shard: usize) {
+    pub(crate) fn mark_propagator_dead(&self, shard: usize) {
         self.shards[shard]
             .propagator_dead
             .store(true, Ordering::Release);
@@ -240,14 +241,14 @@ impl<G: GlobalSketch> EngineCore<G> {
 
     /// Whether `shard`'s propagation service has died (never set by the
     /// threadless [`WriterAssistedBackend`]).
-    pub fn propagator_dead(&self, shard: usize) -> bool {
+    pub(crate) fn propagator_dead(&self, shard: usize) -> bool {
         self.shards[shard].propagator_dead.load(Ordering::Acquire)
     }
 
     /// Merges every pending hand-off of `shard` into its global sketch,
     /// blocking on the shard lock. Returns `true` if any buffer was
     /// merged.
-    pub fn drain_shard(&self, shard: usize) -> bool {
+    pub(crate) fn drain_shard(&self, shard: usize) -> bool {
         let sh = &self.shards[shard];
         let mut g = sh.global.lock();
         self.drain_shard_locked(&mut g, sh)
@@ -256,7 +257,7 @@ impl<G: GlobalSketch> EngineCore<G> {
     /// Like [`Self::drain_shard`] but gives up (returning `false`) if
     /// another thread currently holds the shard lock — that thread is
     /// propagating already.
-    pub fn try_drain_shard(&self, shard: usize) -> bool {
+    pub(crate) fn try_drain_shard(&self, shard: usize) -> bool {
         let sh = &self.shards[shard];
         match sh.global.try_lock() {
             Some(mut g) => self.drain_shard_locked(&mut g, sh),
@@ -384,7 +385,7 @@ impl<G: GlobalSketch> EngineCore<G> {
 /// [`Self::spawn`], the same primitives in a loop), which serialise the
 /// propagator side on the shard lock. [`ConcurrentSketch::start`] picks
 /// the implementation named by [`ConcurrencyConfig::backend`].
-pub trait PropagationBackend<G: GlobalSketch>: Send + Sync + 'static {
+pub(crate) trait PropagationBackend<G: GlobalSketch>: Send + Sync + 'static {
     /// Called once at engine start; spawns any service threads. The
     /// engine sets the shutdown flag and joins the returned handles on
     /// drop.
@@ -417,7 +418,7 @@ pub trait PropagationBackend<G: GlobalSketch>: Send + Sync + 'static {
 /// shard (`t0` of Algorithm 2) spins over its shard's slots and merges
 /// hand-offs as they appear. Writers and queries never propagate.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct DedicatedThreadBackend;
+pub(crate) struct DedicatedThreadBackend;
 
 impl<G: GlobalSketch> PropagationBackend<G> for DedicatedThreadBackend {
     fn spawn(&self, core: &Arc<EngineCore<G>>) -> Vec<JoinHandle<()>> {
@@ -465,7 +466,7 @@ impl<G: GlobalSketch> Drop for PropagatorDeadGuard<'_, G> {
 /// visible once some writer flushes again or
 /// [`ConcurrentSketch::quiesce`] runs. The relaxation bound is unchanged.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct WriterAssistedBackend;
+pub(crate) struct WriterAssistedBackend;
 
 impl<G: GlobalSketch> PropagationBackend<G> for WriterAssistedBackend {
     fn after_handoff(&self, core: &EngineCore<G>, shard: usize) {

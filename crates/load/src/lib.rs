@@ -18,7 +18,9 @@
 use fcds_server::client::{Client, Reply};
 use fcds_server::frame::NackCode;
 use fcds_server::{serve, ServerConfig};
-use fcds_sketches::wire::{LadderWireView, MgWireView, SketchFamily};
+use fcds_sketches::hash::DEFAULT_SEED;
+use fcds_sketches::theta::QuickSelectThetaSketch;
+use fcds_sketches::wire::{LadderWireView, MgWireView, SketchFamily, WireEncode};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -785,6 +787,21 @@ pub const FAMILIES: [SketchFamily; 4] = [
     SketchFamily::Frequency,
 ];
 
+/// A Θ image under the default seed whose last two hashes are swapped
+/// while the sorted flag stays set: a sound envelope with invalid items.
+fn unsorted_theta_image() -> Vec<u8> {
+    let mut sketch = QuickSelectThetaSketch::new(10, DEFAULT_SEED).expect("valid lg_k");
+    for i in 0..1_000u64 {
+        sketch.update(i);
+    }
+    let mut image = sketch.compact().to_wire_bytes().to_vec();
+    let len = image.len();
+    for b in 0..8 {
+        image.swap(len - 16 + b, len - 8 + b);
+    }
+    image
+}
+
 /// The poison item the multi-stream drill plants (the in-process
 /// server is started with `fault_panic_on` set to this value).
 const POISON_ITEM: u64 = u64::MAX;
@@ -1103,6 +1120,20 @@ pub fn run_multistream(cfg: &MultiStreamConfig) -> std::io::Result<MultiStreamRe
             shared.taxonomy.record_nack(code);
         }
         other => panic!("family re-declaration: {other:?}"),
+    }
+    // A Θ merge whose envelope is sound but whose hashes are out of
+    // order must be refused, not stored: a stored one would make every
+    // later query of stream 0 fail, which the convergence check below
+    // would then catch.
+    match probe.merge_stream(
+        SketchFamily::Theta,
+        &drill_key("load", 0),
+        &unsorted_theta_image(),
+    )? {
+        Reply::Nack { code, .. } if code == NackCode::Wire => {
+            shared.taxonomy.record_nack(code);
+        }
+        other => panic!("item-invalid merge: {other:?}"),
     }
 
     // Convergence: each stream's fanned-in count vs. its acked count.

@@ -86,7 +86,6 @@ use crate::registry::{
 };
 use bytes::Bytes;
 use fcds_core::engine::EngineWriter;
-use fcds_core::PropagationBackendKind;
 use fcds_sketches::wire::{
     peek, HllWireView, LadderWireView, MgWireView, SketchFamily, ThetaWireView,
 };
@@ -162,8 +161,6 @@ pub struct ServerConfig {
     pub write_timeout: Duration,
     /// `lg_k` of the live Θ engine.
     pub lg_k: u8,
-    /// Propagation backend for the live engine.
-    pub backend: PropagationBackendKind,
     /// Consecutive failures that open a worker's circuit breaker.
     pub breaker_threshold: u32,
     /// How long an open breaker rejects before admitting a half-open
@@ -216,7 +213,6 @@ impl Default for ServerConfig {
             frame_deadline: Duration::from_secs(2),
             write_timeout: Duration::from_secs(2),
             lg_k: 12,
-            backend: PropagationBackendKind::WriterAssisted,
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(250),
             merge_store_cap: 1024,
@@ -494,7 +490,7 @@ fn spawn_stream(
     workers_n: usize,
 ) -> Result<Arc<StreamState>, String> {
     let workers_n = workers_n.max(1);
-    let engine = build_engine(family, ctx.cfg.lg_k, ctx.cfg.backend, workers_n)?;
+    let engine = build_engine(family, ctx.cfg.lg_k, workers_n)?;
     let mut handles = Vec::with_capacity(workers_n);
     let mut rxs: Vec<Receiver<Vec<u64>>> = Vec::with_capacity(workers_n);
     for _ in 0..workers_n {
@@ -970,12 +966,10 @@ fn stream_worker_impl(
                 }
                 let n = batch.len() as u64;
                 writer.ingest_batch(&batch);
-                // Surface engine-side propagation faults (a dead
-                // propagator thread) promptly instead of only at drain:
-                // flush after each batch. With the writer-assisted
-                // backend this is propagation the writer performs
-                // anyway; with the dedicated-thread backend it bounds
-                // the un-acked window to one batch.
+                // Flush after each batch, so the batch is handed to the
+                // engine instead of waiting in the writer's local buffer
+                // and a flush failure surfaces promptly instead of only
+                // at drain.
                 match writer.flush() {
                     Ok(()) => {
                         ctx.stats.ingest_items.fetch_add(n, Ordering::Relaxed);
@@ -1589,15 +1583,20 @@ fn ingest_into(stream: &StreamState, items: Vec<u64>, ctx: &ServerCtx, seq: u16)
     }
 }
 
-/// Pre-screens an envelope with the capped peek (never size anything
-/// from an unvalidated declared length), then fully validates with the
-/// family's zero-copy view so only decodable images are stored. Also
-/// the validation gate for snapshot-embedded images at recovery.
+/// The gate for merges and for snapshot-embedded images at recovery.
+/// Pre-screens the envelope with the capped peek (never size anything
+/// from an unvalidated declared length), then parses it with the
+/// family's zero-copy view and runs the view's item check. That is the
+/// family's owned decoder minus materialisation, so an image passes
+/// exactly when its decoder accepts it, and every stored image is one
+/// the query fan-in accepts. The Θ/HLL item scan runs once per image,
+/// at merge or at recovery; the query path only has the fan-in
+/// kernels' own fused check.
 pub(crate) fn validate_envelope(payload: &[u8], cap: u32) -> Result<SketchFamily, String> {
     let peeked = peek(payload, cap as u64).map_err(|e| e.to_string())?;
     match peeked.family {
-        SketchFamily::Theta => ThetaWireView::parse(payload).map(|_| ()),
-        SketchFamily::Hll => HllWireView::parse(payload).map(|_| ()),
+        SketchFamily::Theta => ThetaWireView::parse(payload).and_then(|v| v.validate()),
+        SketchFamily::Hll => HllWireView::parse(payload).and_then(|v| v.validate()),
         SketchFamily::Quantiles => LadderWireView::<u64>::parse(payload).map(|_| ()),
         SketchFamily::Frequency => MgWireView::<u64>::parse(payload).map(|_| ()),
     }
@@ -1744,4 +1743,66 @@ fn handle_query(frame: Frame, ctx: &Arc<ServerCtx>) -> Response {
         _ => Vec::new(),
     };
     answer_query(frame.seq, family, kind, &images)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::validate_envelope;
+    use fcds_sketches::frequency::MisraGriesSketch;
+    use fcds_sketches::hll::HllSketch;
+    use fcds_sketches::quantiles::{QuantilesLadder, QuantilesSketch};
+    use fcds_sketches::theta::{CompactThetaSketch, QuickSelectThetaSketch};
+    use fcds_sketches::wire::{encode_theta_unsorted, peek, SketchFamily, WireDecode, WireEncode};
+
+    /// Whether the owned decoder of the family `image` claims accepts it.
+    fn decodes(image: &[u8]) -> bool {
+        match peek(image, u64::MAX).map(|p| p.family) {
+            Ok(SketchFamily::Theta) => CompactThetaSketch::from_wire_bytes(image).is_ok(),
+            Ok(SketchFamily::Hll) => HllSketch::from_wire_bytes(image).is_ok(),
+            Ok(SketchFamily::Quantiles) => QuantilesLadder::<u64>::from_wire_bytes(image).is_ok(),
+            Ok(SketchFamily::Frequency) => MisraGriesSketch::<u64>::from_wire_bytes(image).is_ok(),
+            Err(_) => false,
+        }
+    }
+
+    /// The merge and recovery gate stores only what the family's decoder
+    /// accepts, and refuses nothing it accepts: one image per family
+    /// (plus Θ's insertion-order form) through every single-byte
+    /// mutation.
+    #[test]
+    fn gate_accepts_a_mutated_image_exactly_when_its_decoder_does() {
+        let mut theta = QuickSelectThetaSketch::new(4, 1).unwrap();
+        let mut hll = HllSketch::new(4, 1).unwrap();
+        let mut quantiles = QuantilesSketch::<u64>::with_seed(4, 1).unwrap();
+        let mut mg = MisraGriesSketch::<u64>::new(4).unwrap();
+        for i in 0..100u64 {
+            theta.update(i);
+            hll.update(i);
+            quantiles.update(i);
+            mg.update(i % 6);
+        }
+        let images = [
+            theta.compact().to_wire_bytes(),
+            encode_theta_unsorted(&theta),
+            hll.to_wire_bytes(),
+            quantiles.ladder().to_wire_bytes(),
+            mg.to_wire_bytes(),
+        ];
+        for image in &images {
+            assert!(validate_envelope(image, u32::MAX).is_ok());
+            let mut mutated = image.to_vec();
+            for off in 0..image.len() {
+                for delta in 1..=u8::MAX {
+                    mutated[off] = image[off].wrapping_add(delta);
+                    assert_eq!(
+                        validate_envelope(&mutated, u32::MAX).is_ok(),
+                        decodes(&mutated),
+                        "byte {off} of a {:?} image, +{delta}",
+                        peek(image, u64::MAX).map(|p| p.family),
+                    );
+                }
+                mutated[off] = image[off];
+            }
+        }
+    }
 }

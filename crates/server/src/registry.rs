@@ -271,16 +271,18 @@ impl Registry {
 }
 
 /// The per-family engine factory: maps a wire family code onto the
-/// unified [`EngineBuilder`], sharing the server's concurrency shape
-/// (`writers`, backend) across families. Θ takes the configured `lg_k`;
-/// the other families run at their documented defaults.
+/// unified [`EngineBuilder`], sharing the server's `writers` across
+/// families. Θ takes the configured `lg_k`; the other families run at
+/// their documented defaults. Every engine propagates writer-assisted:
+/// the stream's ingest workers drain their own hand-offs, so a stream
+/// costs no propagator threads.
 pub(crate) fn build_engine(
     family: SketchFamily,
     lg_k: u8,
-    backend: PropagationBackendKind,
     writers: usize,
 ) -> Result<Box<dyn StreamEngine>, String> {
     let writers = writers.max(1);
+    let backend = PropagationBackendKind::WriterAssisted;
     let built = match family {
         SketchFamily::Theta => EngineBuilder::<ThetaFamily>::new()
             .accuracy(lg_k as usize)

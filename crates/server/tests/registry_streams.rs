@@ -545,3 +545,65 @@ fn rejected_merges_to_fresh_keys_never_create_streams() {
     assert_eq!(report.leaked_threads, 0);
     assert_eq!(report.stats.streams_created, 3); // default + 2 legit
 }
+
+/// A merge whose envelope is sound but whose items break the family's
+/// rule — a Θ image with two hashes swapped under the sorted flag, an
+/// HLL register above the rank bound — is refused with a `Wire` NACK
+/// and never stored. A stored one would make every later query on the
+/// stream NACK and every checkpoint of it fail.
+#[test]
+fn item_invalid_merges_nack_wire_and_leave_the_stream_answering() {
+    let handle = serve(test_config()).unwrap();
+    let mut c = connect(&handle);
+    let items: Vec<u64> = (0..2_000).collect();
+    let families = [SketchFamily::Theta, SketchFamily::Hll];
+    for (i, &family) in families.iter().enumerate() {
+        ingest_all(&mut c, family, &stream_key(i), &items);
+    }
+    // Every acked item applied: the estimates below are final.
+    for _ in 0..200 {
+        if handle.stats().ingest_items == 2 * items.len() as u64 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(handle.stats().ingest_items, 2 * items.len() as u64);
+
+    for (i, &family) in families.iter().enumerate() {
+        let key = stream_key(i);
+        let before = observed_count(&mut c, family, &key);
+        let good = match c.query_stream_image(family, &key).unwrap() {
+            Reply::Image { bytes, .. } => bytes,
+            other => panic!("image reply: {other:?}"),
+        };
+        let mut bad = good.clone();
+        match family {
+            SketchFamily::Theta => {
+                // Swap the last two hashes; the sorted flag stays set.
+                let len = bad.len();
+                for b in 0..8 {
+                    bad.swap(len - 16 + b, len - 8 + b);
+                }
+            }
+            _ => bad[32] = 200, // first register: 16-byte envelope + 16 fixed
+        }
+        assert!(
+            peek(&bad, u64::MAX).is_ok(),
+            "{family:?}: envelope stays sound"
+        );
+        let reply = c.merge_stream(family, &key, &bad).unwrap();
+        assert_eq!(
+            reply.nack_code(),
+            Some(NackCode::Wire),
+            "{family:?}: {reply:?}"
+        );
+        assert_eq!(observed_count(&mut c, family, &key), before, "{family:?}");
+        // The same image unmutated is accepted, and still answers.
+        let reply = c.merge_stream(family, &key, &good).unwrap();
+        assert!(matches!(reply, Reply::Ack { .. }), "{family:?}: {reply:?}");
+        assert_eq!(observed_count(&mut c, family, &key), before, "{family:?}");
+    }
+    let report = handle.shutdown();
+    assert_eq!(report.stats.merges_accepted, 2);
+    assert_eq!(report.leaked_threads, 0);
+}

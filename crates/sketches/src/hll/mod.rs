@@ -14,6 +14,7 @@
 use crate::error::{Result, SketchError};
 use crate::hash::Hashable;
 
+#[cfg(test)]
 mod wire;
 
 /// Minimum `lg_m` (number of registers = 2^lg_m ≥ 16).

@@ -1,40 +1,12 @@
-//! Convenience byte-string API for HLL sketches.
-//!
-//! The actual codec lives in the unified [`crate::wire`] module (HLL
-//! family): a 16-byte envelope header followed by
-//! `lg_m(u8) | pad(7×u8) | seed(u64) | 2^lg_m register bytes`. The
-//! methods here are thin aliases kept for callers that do not need the
-//! trait machinery.
-
-use super::HllSketch;
-use crate::error::Result;
-use crate::wire::{WireDecode, WireEncode};
-use bytes::Bytes;
-
-impl HllSketch {
-    /// Serialises the sketch into the unified wire format (HLL family).
-    /// Alias of [`WireEncode::to_wire_bytes`].
-    pub fn to_bytes(&self) -> Bytes {
-        self.to_wire_bytes()
-    }
-
-    /// Deserialises a sketch produced by [`HllSketch::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`crate::wire::WireDecode`] failure folded into
-    /// [`crate::error::SketchError`]: `Corrupt` on bad magic/version,
-    /// truncation, or register values exceeding the maximum possible
-    /// rank. Callers that need the precise corruption class should use
-    /// [`WireDecode::from_wire_bytes`] directly.
-    pub fn from_bytes(data: &[u8]) -> Result<Self> {
-        Ok(Self::from_wire_bytes(data)?)
-    }
-}
+//! Round-trip and corruption tests for HLL's wire family. The codec
+//! itself lives in the unified [`crate::wire`] module: a 16-byte
+//! envelope header followed by
+//! `lg_m(u8) | pad(7×u8) | seed(u64) | 2^lg_m register bytes`.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::hll::HllSketch;
+    use crate::wire::{WireDecode, WireEncode};
 
     #[test]
     fn round_trip() {
@@ -42,10 +14,10 @@ mod tests {
         for i in 0..50_000u64 {
             h.update(i);
         }
-        let bytes = h.to_bytes();
+        let bytes = h.to_wire_bytes();
         // 16-byte envelope + 16-byte fixed payload + 2^10 registers.
         assert_eq!(bytes.len(), 16 + 16 + 1024);
-        let back = HllSketch::from_bytes(&bytes).unwrap();
+        let back = HllSketch::from_wire_bytes(&bytes).unwrap();
         assert_eq!(back, h);
         assert_eq!(back.estimate(), h.estimate());
     }
@@ -53,30 +25,30 @@ mod tests {
     #[test]
     fn empty_round_trip() {
         let h = HllSketch::new(4, 0).unwrap();
-        let back = HllSketch::from_bytes(&h.to_bytes()).unwrap();
+        let back = HllSketch::from_wire_bytes(&h.to_wire_bytes()).unwrap();
         assert!(back.is_empty());
     }
 
     #[test]
     fn corrupt_magic_rejected() {
-        let mut b = HllSketch::new(4, 0).unwrap().to_bytes().to_vec();
+        let mut b = HllSketch::new(4, 0).unwrap().to_wire_bytes().to_vec();
         b[0] ^= 0xFF;
-        assert!(HllSketch::from_bytes(&b).is_err());
+        assert!(HllSketch::from_wire_bytes(&b).is_err());
     }
 
     #[test]
     fn truncated_rejected() {
-        let b = HllSketch::new(6, 0).unwrap().to_bytes();
-        assert!(HllSketch::from_bytes(&b[..b.len() - 1]).is_err());
-        assert!(HllSketch::from_bytes(&b[..8]).is_err());
+        let b = HllSketch::new(6, 0).unwrap().to_wire_bytes();
+        assert!(HllSketch::from_wire_bytes(&b[..b.len() - 1]).is_err());
+        assert!(HllSketch::from_wire_bytes(&b[..8]).is_err());
     }
 
     #[test]
     fn out_of_range_register_rejected() {
-        let mut b = HllSketch::new(4, 0).unwrap().to_bytes().to_vec();
+        let mut b = HllSketch::new(4, 0).unwrap().to_wire_bytes().to_vec();
         // First register: 16-byte envelope + lg_m/pad/seed (16 bytes).
         b[32] = 62; // max rank for lg_m = 4 is 61
-        assert!(HllSketch::from_bytes(&b).is_err());
+        assert!(HllSketch::from_wire_bytes(&b).is_err());
     }
 
     #[test]
@@ -85,7 +57,7 @@ mod tests {
         for i in 0..10_000u64 {
             h.update(i);
         }
-        let mut back = HllSketch::from_bytes(&h.to_bytes()).unwrap();
+        let mut back = HllSketch::from_wire_bytes(&h.to_wire_bytes()).unwrap();
         for i in 10_000..20_000u64 {
             back.update(i);
             h.update(i);

@@ -5,10 +5,12 @@
 //! randomness in an external oracle; given the oracle's output, the
 //! sketches behave deterministically" (§4). Concretely:
 //!
-//! * the Θ sketch draws its **hash seed** from the oracle at `init` time
-//!   (the seed selects the hash function, i.e., all "coin flips" at once);
-//! * the Quantiles sketch draws **one coin flip per compaction** to choose
-//!   between keeping the even- or odd-indexed survivors.
+//! * the Θ and HLL sketches take their **hash seed** as an explicit
+//!   construction parameter (the seed selects the hash function,
+//!   i.e., all "coin flips" at once), so they need no oracle;
+//! * the Quantiles sketch draws **one coin flip per compaction** from
+//!   the oracle to choose between keeping the even- or odd-indexed
+//!   survivors.
 //!
 //! Fixing the oracle yields the deterministic object whose sequential
 //! histories form `SeqSketch`, the specification that Definition 2's
@@ -25,9 +27,6 @@ use std::collections::VecDeque;
 /// exactly — this is what turns a randomised sketch into a deterministic
 /// object with a sequential specification (§4).
 pub trait Oracle: Send + Sync {
-    /// Draws the hash-function seed (used once, at sketch initialisation).
-    fn hash_seed(&mut self) -> u64;
-
     /// Draws one fair coin flip.
     fn flip(&mut self) -> bool;
 }
@@ -42,7 +41,6 @@ pub trait Oracle: Send + Sync {
 ///
 /// let mut a = DeterministicOracle::new(7);
 /// let mut b = DeterministicOracle::new(7);
-/// assert_eq!(a.hash_seed(), b.hash_seed());
 /// assert_eq!(a.flip(), b.flip());
 /// ```
 #[derive(Debug, Clone)]
@@ -61,10 +59,6 @@ impl DeterministicOracle {
 }
 
 impl Oracle for DeterministicOracle {
-    fn hash_seed(&mut self) -> u64 {
-        self.rng.random()
-    }
-
     fn flip(&mut self) -> bool {
         self.rng.random()
     }
@@ -93,10 +87,6 @@ impl Default for EntropyOracle {
 }
 
 impl Oracle for EntropyOracle {
-    fn hash_seed(&mut self) -> u64 {
-        self.rng.random()
-    }
-
     fn flip(&mut self) -> bool {
         self.rng.random()
     }
@@ -109,16 +99,14 @@ impl Oracle for EntropyOracle {
 /// (so tests may script only the prefix they care about).
 #[derive(Debug, Clone)]
 pub struct ScriptedOracle {
-    seeds: VecDeque<u64>,
     coins: VecDeque<bool>,
     fallback: SmallRng,
 }
 
 impl ScriptedOracle {
-    /// Creates a scripted oracle from explicit seed and coin sequences.
-    pub fn new(seeds: impl Into<VecDeque<u64>>, coins: impl Into<VecDeque<bool>>) -> Self {
+    /// Creates a scripted oracle from an explicit coin sequence.
+    pub fn new(coins: impl Into<VecDeque<bool>>) -> Self {
         ScriptedOracle {
-            seeds: seeds.into(),
             coins: coins.into(),
             fallback: SmallRng::seed_from_u64(0xFCD5),
         }
@@ -131,12 +119,6 @@ impl ScriptedOracle {
 }
 
 impl Oracle for ScriptedOracle {
-    fn hash_seed(&mut self) -> u64 {
-        self.seeds
-            .pop_front()
-            .unwrap_or_else(|| self.fallback.random())
-    }
-
     fn flip(&mut self) -> bool {
         self.coins
             .pop_front()
@@ -168,8 +150,7 @@ mod tests {
 
     #[test]
     fn scripted_oracle_replays_script_then_falls_back() {
-        let mut o = ScriptedOracle::new(vec![42u64], vec![true, false, true]);
-        assert_eq!(o.hash_seed(), 42);
+        let mut o = ScriptedOracle::new(vec![true, false, true]);
         assert!(o.flip());
         assert!(!o.flip());
         assert!(o.flip());
@@ -188,7 +169,6 @@ mod tests {
     #[test]
     fn entropy_oracle_is_usable() {
         let mut o = EntropyOracle::new();
-        let _ = o.hash_seed();
         let _ = o.flip();
     }
 }

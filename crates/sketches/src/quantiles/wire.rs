@@ -16,6 +16,7 @@
 use super::sketch::QuantilesSketch;
 use crate::error::{Result, WireError};
 use crate::oracle::Oracle;
+use crate::wire::view::family_check;
 pub use crate::wire::WireItem;
 use crate::wire::{SketchFamily, WireHeader, FLAG_QUANTILES_NONEMPTY, FLAG_QUANTILES_UPDATABLE};
 use bytes::{Buf, Bytes, BytesMut};
@@ -102,12 +103,7 @@ impl<T: Ord + Clone + WireItem> QuantilesSketch<T> {
         oracle: impl Oracle + 'static,
     ) -> std::result::Result<Self, WireError> {
         let (header, mut payload) = WireHeader::parse(data)?;
-        if header.family != SketchFamily::Quantiles {
-            return Err(WireError::FamilyMismatch {
-                expected: SketchFamily::Quantiles.name(),
-                found: header.family.name(),
-            });
-        }
+        family_check(&header, SketchFamily::Quantiles)?;
         if header.flags & FLAG_QUANTILES_UPDATABLE == 0 {
             return Err(WireError::invariant(
                 "quantiles flags",

@@ -43,8 +43,8 @@
 //! hit first.
 
 use super::view::{
-    validate_registers, HllWireView, LadderRunSink, LadderWireView, MgWireView, ThetaWireView,
-    THETA_ITEMS_OFF,
+    check_theta_hash, validate_registers, CollectRuns, HllWireView, LadderWireView, MgWireView,
+    ThetaWireView, THETA_ITEMS_OFF,
 };
 use super::WireItem;
 use crate::error::WireError;
@@ -264,42 +264,14 @@ fn theta_cursor_advance<B: AsRef<[u8]>>(
     }
     let bytes = images[cur.src as usize].as_ref();
     let h = read_hash(bytes, cur.pos);
-    if h == 0 {
-        return Err(WireError::invariant("theta hashes", "hash 0 is reserved"));
-    }
-    if h >= cur.theta {
-        return Err(WireError::invariant(
-            "theta hashes",
-            format!("hash {h} not below theta {}", cur.theta),
-        ));
-    }
-    if h <= cur.last {
-        return Err(WireError::invariant(
-            "theta hashes",
-            "hashes not strictly ascending",
-        ));
-    }
+    check_theta_hash(h, cur.last, cur.theta)?;
     if h >= joint {
         // Θ cut: nothing at or above the joint threshold can be
         // emitted, but the tail must still validate.
         let mut prev = h;
         for pos in cur.pos + 1..cur.end {
             let t = read_hash(bytes, pos);
-            if t == 0 {
-                return Err(WireError::invariant("theta hashes", "hash 0 is reserved"));
-            }
-            if t >= cur.theta {
-                return Err(WireError::invariant(
-                    "theta hashes",
-                    format!("hash {t} not below theta {}", cur.theta),
-                ));
-            }
-            if t <= prev {
-                return Err(WireError::invariant(
-                    "theta hashes",
-                    "hashes not strictly ascending",
-                ));
-            }
+            check_theta_hash(t, prev, cur.theta)?;
             prev = t;
         }
         cur.pos = cur.end;
@@ -383,15 +355,7 @@ pub fn theta_multiway_union_into<'s, B: AsRef<[u8]>>(
         } else {
             let seg = canon.len();
             for h in view.hashes() {
-                if h == 0 {
-                    return Err(WireError::invariant("theta hashes", "hash 0 is reserved"));
-                }
-                if h >= view.theta() {
-                    return Err(WireError::invariant(
-                        "theta hashes",
-                        format!("hash {h} not below theta {}", view.theta()),
-                    ));
-                }
+                check_theta_hash(h, 0, view.theta())?;
                 if h < joint {
                     canon.push(h);
                 }
@@ -534,10 +498,10 @@ pub fn hll_multiway_merge_into<'s, B: AsRef<[u8]>>(
                 view.seed()
             )));
         }
+        // An unconditional `max` store vectorises; a guarded store
+        // does not.
         for (a, &b) in regs.iter_mut().zip(view.registers()) {
-            if b > *a {
-                *a = b;
-            }
+            *a = (*a).max(b);
         }
     }
     validate_registers(lg_m, regs)?;
@@ -557,26 +521,6 @@ pub fn hll_multiway_merge_into<'s, B: AsRef<[u8]>>(
 pub fn hll_multiway_merge<B: AsRef<[u8]>>(images: &[B]) -> Result<HllSketch, WireError> {
     let mut scratch = MergeScratch::new();
     hll_multiway_merge_into(&mut scratch, images)?.to_sketch()
-}
-
-/// Materialises runs during the ladder validation pass: each run gets
-/// one exactly-sized `Vec`, each item is decoded exactly once.
-struct CollectRuns<T> {
-    runs: Vec<(Vec<T>, u64)>,
-}
-
-impl<T: Clone> LadderRunSink<T> for CollectRuns<T> {
-    fn run(&mut self, weight: u64, len: usize) {
-        self.runs.push((Vec::with_capacity(len), weight));
-    }
-
-    fn item(&mut self, item: &T) {
-        self.runs
-            .last_mut()
-            .expect("parse announces a run before its items")
-            .0
-            .push(item.clone());
-    }
 }
 
 /// Quantiles ladder fan-in: one streaming pass per image splices every

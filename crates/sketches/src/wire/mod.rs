@@ -35,9 +35,10 @@
 //! * [`WireEncode`] / [`WireDecode`] — the codec pair. Encoding is
 //!   infallible and deterministic (canonical images re-encode
 //!   byte-identically, which the committed golden-vector corpus
-//!   enforces); decoding validates every structural invariant and
-//!   returns a typed [`WireError`], never panicking on any input and
-//!   never allocating proportionally to an unvalidated length field.
+//!   enforces); decoding is the family's zero-copy view plus its item
+//!   check (see [`view`]), so it validates every invariant and returns a
+//!   typed [`WireError`], never panicking on any input and never
+//!   allocating proportionally to an unvalidated length field.
 //! * [`WireMerge`] — the merge-anywhere tier: decoded images of the same
 //!   family combine without access to the sketch that built them.
 //!   [`merge_wire_images`] fans a whole list of raw images into one
@@ -89,9 +90,11 @@ pub use view::{
     HllWireView, LadderWireRun, LadderWireRuns, LadderWireView, MgWireView, ThetaWireView,
 };
 
+use view::CollectRuns;
+
 use crate::error::WireError;
 use crate::frequency::MisraGriesSketch;
-use crate::hll::{HllSketch, MAX_LG_M, MIN_LG_M};
+use crate::hll::HllSketch;
 use crate::quantiles::{QuantilesLadder, TotalF64};
 use crate::theta::setops::{untrimmed_union, ThetaANotB, ThetaIntersection};
 use crate::theta::{jaccard, CompactThetaSketch, JaccardEstimate, ThetaRead};
@@ -413,31 +416,21 @@ pub trait WireEncode: WireSketch {
 }
 
 /// Deserialisation half of the unified codec.
+///
+/// Every in-tree impl parses the family's [`view`], runs the view's item
+/// check and materialises the sketch: the views are the only parser, so
+/// an image a decoder accepts is exactly one its view and the fan-in
+/// kernels accept.
 pub trait WireDecode: WireSketch + Sized {
-    /// Decodes the family payload, validating every structural invariant.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`WireError`] variant matching the first corruption
-    /// class detected. Must not panic on any input.
-    fn decode_payload(header: &WireHeader, payload: &[u8]) -> Result<Self, WireError>;
-
-    /// Decodes a complete wire image (header + payload).
+    /// Decodes a complete wire image (header + payload), validating
+    /// every structural and item-level invariant.
     ///
     /// # Errors
     ///
     /// [`WireError::FamilyMismatch`] if the image belongs to a different
-    /// family; otherwise whatever [`Self::decode_payload`] reports.
-    fn from_wire_bytes(data: &[u8]) -> Result<Self, WireError> {
-        let (header, payload) = WireHeader::parse(data)?;
-        if header.family != Self::FAMILY {
-            return Err(WireError::FamilyMismatch {
-                expected: Self::FAMILY.name(),
-                found: header.family.name(),
-            });
-        }
-        Self::decode_payload(&header, payload)
-    }
+    /// family; otherwise the [`WireError`] variant matching the first
+    /// corruption class detected. Must not panic on any input.
+    fn from_wire_bytes(data: &[u8]) -> Result<Self, WireError>;
 }
 
 /// The merge-anywhere tier: combine decoded images of one family without
@@ -558,63 +551,10 @@ impl WireEncode for CompactThetaSketch {
 }
 
 impl WireDecode for CompactThetaSketch {
-    fn decode_payload(header: &WireHeader, mut payload: &[u8]) -> Result<Self, WireError> {
-        if header.item_width != 8 {
-            return Err(WireError::ItemWidth {
-                expected: 8,
-                found: header.item_width,
-            });
-        }
-        if (payload.len() as u64) < THETA_FIXED {
-            return Err(WireError::Truncated {
-                context: "theta payload",
-                needed: THETA_FIXED as usize,
-                have: payload.len(),
-            });
-        }
-        let seed = payload.get_u64_le();
-        let theta = payload.get_u64_le();
-        let count = payload.get_u64_le();
-        // The header's exact-length rule already bounds `count`: the
-        // hashes must account for every remaining payload byte, so the
-        // allocation below is capped by bytes actually present.
-        let need = count
-            .checked_mul(8)
-            .and_then(|b| b.checked_add(THETA_FIXED))
-            .ok_or_else(|| WireError::invariant("hash count", "count overflows size"))?;
-        if need != header.payload_len {
-            return Err(WireError::invariant(
-                "hash count",
-                format!(
-                    "count {count} needs {need} payload bytes, header carries {}",
-                    header.payload_len
-                ),
-            ));
-        }
-        let sorted = header.flags & FLAG_THETA_UNSORTED == 0;
-        let mut hashes = Vec::with_capacity(count as usize);
-        let mut prev = 0u64;
-        for _ in 0..count {
-            let h = payload.get_u64_le();
-            if h == 0 {
-                return Err(WireError::invariant("theta hashes", "hash 0 is reserved"));
-            }
-            if h >= theta {
-                return Err(WireError::invariant(
-                    "theta hashes",
-                    format!("hash {h} not below theta {theta}"),
-                ));
-            }
-            if sorted && h <= prev {
-                return Err(WireError::invariant(
-                    "theta hashes",
-                    "hashes not strictly ascending",
-                ));
-            }
-            prev = h;
-            hashes.push(h);
-        }
-        CompactThetaSketch::from_parts(theta, seed, hashes)
+    fn from_wire_bytes(data: &[u8]) -> Result<Self, WireError> {
+        let view = ThetaWireView::parse(data)?;
+        view.validate()?;
+        CompactThetaSketch::from_parts(view.theta(), view.seed(), view.hashes().collect())
             .map_err(|e| WireError::invariant("theta parts", e.to_string()))
     }
 }
@@ -747,53 +687,12 @@ impl WireEncode for HllSketch {
 }
 
 impl WireDecode for HllSketch {
-    fn decode_payload(header: &WireHeader, mut payload: &[u8]) -> Result<Self, WireError> {
-        if header.item_width != 1 {
-            return Err(WireError::ItemWidth {
-                expected: 1,
-                found: header.item_width,
-            });
-        }
-        if (payload.len() as u64) < HLL_FIXED {
-            return Err(WireError::Truncated {
-                context: "hll payload",
-                needed: HLL_FIXED as usize,
-                have: payload.len(),
-            });
-        }
-        let lg_m = payload.get_u8();
-        if !(MIN_LG_M..=MAX_LG_M).contains(&lg_m) {
-            return Err(WireError::invariant(
-                "hll lg_m",
-                format!("lg_m {lg_m} out of range {MIN_LG_M}..={MAX_LG_M}"),
-            ));
-        }
-        payload.advance(7);
-        let seed = payload.get_u64_le();
-        let m = 1u64 << lg_m;
-        if header.payload_len != HLL_FIXED + m {
-            return Err(WireError::invariant(
-                "hll registers",
-                format!(
-                    "2^lg_m = {m} registers need {} payload bytes, header carries {}",
-                    HLL_FIXED + m,
-                    header.payload_len
-                ),
-            ));
-        }
-        let max_rho = 64 - lg_m + 1;
-        let mut sketch = HllSketch::new(lg_m, seed)
+    fn from_wire_bytes(data: &[u8]) -> Result<Self, WireError> {
+        let view = HllWireView::parse(data)?;
+        view.validate()?;
+        let mut sketch = HllSketch::new(view.lg_m(), view.seed())
             .map_err(|e| WireError::invariant("hll params", e.to_string()))?;
-        for slot in sketch.registers_mut().iter_mut() {
-            let r = payload.get_u8();
-            if r > max_rho {
-                return Err(WireError::invariant(
-                    "hll registers",
-                    format!("register value {r} exceeds max rank {max_rho}"),
-                ));
-            }
-            *slot = r;
-        }
+        sketch.registers_mut().copy_from_slice(view.registers());
         Ok(sketch)
     }
 }
@@ -867,125 +766,15 @@ impl<T: Ord + Clone + WireItem> WireEncode for QuantilesLadder<T> {
 }
 
 impl<T: Ord + Clone + WireItem> WireDecode for QuantilesLadder<T> {
-    fn decode_payload(header: &WireHeader, mut payload: &[u8]) -> Result<Self, WireError> {
-        if header.flags & FLAG_QUANTILES_UPDATABLE != 0 {
-            return Err(WireError::invariant(
-                "quantiles flags",
-                "image is an updatable sketch, not a ladder \
-                 (use QuantilesSketch::from_bytes)",
-            ));
-        }
-        if header.item_width as usize != T::WIDTH {
-            return Err(WireError::ItemWidth {
-                expected: T::WIDTH as u8,
-                found: header.item_width,
-            });
-        }
-        if (payload.len() as u64) < LADDER_FIXED {
-            return Err(WireError::Truncated {
-                context: "ladder payload",
-                needed: LADDER_FIXED as usize,
-                have: payload.len(),
-            });
-        }
-        let n = payload.get_u64_le();
-        let run_count = payload.get_u32_le();
-        let _pad = payload.get_u32_le();
-        let (min_item, max_item) = if n > 0 {
-            if payload.remaining() < 2 * T::WIDTH {
-                return Err(WireError::Truncated {
-                    context: "ladder min/max",
-                    needed: 2 * T::WIDTH,
-                    have: payload.remaining(),
-                });
-            }
-            let min = T::read_from(&mut payload);
-            let max = T::read_from(&mut payload);
-            if min > max {
-                return Err(WireError::invariant("ladder min/max", "min above max"));
-            }
-            (Some(min), Some(max))
-        } else {
-            (None, None)
-        };
-        let mut runs: Vec<(Vec<T>, u64)> = Vec::with_capacity(run_count.min(64) as usize);
-        let mut weighted_total = 0u64;
-        for _ in 0..run_count {
-            if payload.remaining() < LADDER_RUN_FIXED as usize {
-                return Err(WireError::Truncated {
-                    context: "ladder run header",
-                    needed: LADDER_RUN_FIXED as usize,
-                    have: payload.remaining(),
-                });
-            }
-            let weight = payload.get_u64_le();
-            let len = payload.get_u64_le();
-            if weight == 0 || len == 0 {
-                return Err(WireError::invariant(
-                    "ladder run",
-                    "runs must be non-empty with weight >= 1",
-                ));
-            }
-            let bytes_needed = len
-                .checked_mul(T::WIDTH as u64)
-                .ok_or_else(|| WireError::invariant("ladder run", "run length overflows size"))?;
-            if (payload.remaining() as u64) < bytes_needed {
-                return Err(WireError::Truncated {
-                    context: "ladder run items",
-                    needed: bytes_needed as usize,
-                    have: payload.remaining(),
-                });
-            }
-            // Remaining payload bounds `len`, so this allocation is
-            // capped by bytes actually present.
-            let mut items = Vec::with_capacity(len as usize);
-            for _ in 0..len {
-                items.push(T::read_from(&mut payload));
-            }
-            if items.windows(2).any(|w| w[0] > w[1]) {
-                return Err(WireError::invariant("ladder run", "run not sorted"));
-            }
-            match (&min_item, &max_item) {
-                (Some(min), Some(max)) => {
-                    // first()/last() exist: len >= 1 was enforced above.
-                    if items.first().is_some_and(|lo| lo < min)
-                        || items.last().is_some_and(|hi| hi > max)
-                    {
-                        return Err(WireError::invariant(
-                            "ladder run",
-                            "retained item outside [min, max]",
-                        ));
-                    }
-                }
-                _ => {
-                    return Err(WireError::invariant(
-                        "ladder run",
-                        "non-empty run in an empty (n = 0) ladder",
-                    ));
-                }
-            }
-            weighted_total = weighted_total
-                .checked_add(
-                    (items.len() as u64)
-                        .checked_mul(weight)
-                        .ok_or_else(|| WireError::invariant("ladder run", "weight overflow"))?,
-                )
-                .ok_or_else(|| WireError::invariant("ladder run", "weight overflow"))?;
-            runs.push((items, weight));
-        }
-        if payload.has_remaining() {
-            return Err(WireError::invariant(
-                "ladder payload",
-                format!("{} trailing bytes after last run", payload.remaining()),
-            ));
-        }
-        if weighted_total != n {
-            return Err(WireError::invariant(
-                "ladder weight",
-                format!("runs carry weight {weighted_total}, header says n = {n}"),
-            ));
-        }
-        Ok(QuantilesLadder::from_wire_runs(runs, n, min_item, max_item))
+    fn from_wire_bytes(data: &[u8]) -> Result<Self, WireError> {
+        let mut sink = CollectRuns { runs: Vec::new() };
+        let view = LadderWireView::<T>::parse_sink(data, &mut sink)?;
+        Ok(QuantilesLadder::from_wire_runs(
+            sink.runs,
+            view.n(),
+            view.min_item().cloned(),
+            view.max_item().cloned(),
+        ))
     }
 }
 
@@ -1050,78 +839,9 @@ impl<T: Eq + Hash + Ord + Clone + WireItem> WireEncode for MisraGriesSketch<T> {
 }
 
 impl<T: Eq + Hash + Ord + Clone + WireItem> WireDecode for MisraGriesSketch<T> {
-    fn decode_payload(header: &WireHeader, mut payload: &[u8]) -> Result<Self, WireError> {
-        if header.item_width as usize != T::WIDTH {
-            return Err(WireError::ItemWidth {
-                expected: T::WIDTH as u8,
-                found: header.item_width,
-            });
-        }
-        if (payload.len() as u64) < MG_FIXED {
-            return Err(WireError::Truncated {
-                context: "misra-gries payload",
-                needed: MG_FIXED as usize,
-                have: payload.len(),
-            });
-        }
-        let k = payload.get_u64_le();
-        let n = payload.get_u64_le();
-        let error = payload.get_u64_le();
-        let count = payload.get_u64_le();
-        if k == 0 {
-            return Err(WireError::invariant("misra-gries k", "k must be >= 1"));
-        }
-        if count > k {
-            return Err(WireError::invariant(
-                "misra-gries counters",
-                format!("{count} counters exceed k = {k}"),
-            ));
-        }
-        let entry_width = (T::WIDTH as u64) + 8;
-        let need = count
-            .checked_mul(entry_width)
-            .and_then(|b| b.checked_add(MG_FIXED))
-            .ok_or_else(|| WireError::invariant("misra-gries counters", "count overflows size"))?;
-        if need != header.payload_len {
-            return Err(WireError::invariant(
-                "misra-gries counters",
-                format!(
-                    "count {count} needs {need} payload bytes, header carries {}",
-                    header.payload_len
-                ),
-            ));
-        }
-        let mut entries: Vec<(T, u64)> = Vec::with_capacity(count as usize);
-        let mut counter_sum = 0u64;
-        for _ in 0..count {
-            let item = T::read_from(&mut payload);
-            let counter = payload.get_u64_le();
-            if counter == 0 {
-                return Err(WireError::invariant(
-                    "misra-gries counters",
-                    "zero counter retained",
-                ));
-            }
-            if let Some((prev, _)) = entries.last() {
-                if item <= *prev {
-                    return Err(WireError::invariant(
-                        "misra-gries counters",
-                        "items not strictly ascending",
-                    ));
-                }
-            }
-            counter_sum = counter_sum.checked_add(counter).ok_or_else(|| {
-                WireError::invariant("misra-gries counters", "counter sum overflow")
-            })?;
-            entries.push((item, counter));
-        }
-        if counter_sum.checked_add(error).is_none_or(|total| total > n) {
-            return Err(WireError::invariant(
-                "misra-gries weight",
-                format!("counters ({counter_sum}) + error ({error}) exceed n = {n}"),
-            ));
-        }
-        MisraGriesSketch::from_parts(k as usize, n, error, entries)
+    fn from_wire_bytes(data: &[u8]) -> Result<Self, WireError> {
+        let view = MgWireView::<T>::parse(data)?;
+        MisraGriesSketch::from_parts(view.k() as usize, view.n(), view.error(), view.entries())
             .map_err(|e| WireError::invariant("misra-gries parts", e.to_string()))
     }
 }

@@ -1,33 +1,36 @@
-//! Borrowed, zero-copy views over raw wire images.
+//! Borrowed, zero-copy views over raw wire images — the one parser of
+//! every wire family.
 //!
 //! A view validates the 16-byte envelope (magic, version, family, item
 //! width, exact-length rule) plus the family's *structural* frame once,
 //! and then serves items straight out of the input `&[u8]` — no payload
 //! materialisation, no allocation. Views are the parsing tier under the
-//! multiway fan-in kernels in [`super::fanin`]; the owned decoders behind
-//! [`super::WireDecode`] remain the right tool when the sketch itself is
-//! needed.
+//! multiway fan-in kernels in [`super::fanin`] *and* under the owned
+//! decoders behind [`super::WireDecode`]: each decoder parses the view,
+//! runs the view's item check, and materialises the sketch. No decoder
+//! carries a validation rule of its own.
 //!
 //! # Validation contract
 //!
-//! All four views reject exactly the inputs the owned decoders reject,
-//! with the same [`WireError`] taxonomy — but *where* the item-level
-//! checks run differs by family, so the hot path never walks the bytes
-//! twice:
+//! Owned decode is view parse plus item check, by construction, so the
+//! two can never disagree. *Where* the item check runs differs by family,
+//! so the hot path never walks the bytes twice:
 //!
 //! * [`ThetaWireView`] and [`HllWireView`] validate the header and the
 //!   fixed fields (seed/Θ/count consistency, `lg_m` range, register
-//!   count) at parse time; per-item checks (hash ordering and range,
-//!   register rank bounds) run *fused into consumption* — either inside
-//!   the fan-in kernels, which validate every byte they stream, or via
-//!   the explicit [`ThetaWireView::validate`] / [`HllWireView::validate`]
-//!   helpers.
+//!   count) at parse time. Their item check — Θ's per-hash rule, HLL's
+//!   register rank bound — is [`ThetaWireView::validate`] /
+//!   [`HllWireView::validate`]. The decoders call it; the fan-in kernels
+//!   run the same rule fused into consumption instead, validating every
+//!   byte they stream. A caller that stores a parsed image for a later
+//!   fan-in must call `validate` itself: `parse` alone accepts images
+//!   whose items the kernels will reject.
 //! * [`LadderWireView`] and [`MgWireView`] validate everything at parse
 //!   time (one streaming pass, still allocation-free): their consumers
 //!   materialise owned runs/counters anyway, so there is no second pass
 //!   to fuse into, and the infallible iterators keep the kernels simple.
 //!
-//! Like the decoders, views never panic on any input.
+//! Views never panic on any input.
 
 use super::{
     SketchFamily, WireHeader, WireItem, FLAG_QUANTILES_UPDATABLE, FLAG_THETA_UNSORTED,
@@ -47,7 +50,8 @@ fn u64_at(items: &[u8], i: usize) -> u64 {
     u64::from_le_bytes(items[off..off + 8].try_into().unwrap_or([0; 8]))
 }
 
-fn family_check(header: &WireHeader, expected: SketchFamily) -> Result<(), WireError> {
+/// The one family check: `header` must belong to `expected`.
+pub(crate) fn family_check(header: &WireHeader, expected: SketchFamily) -> Result<(), WireError> {
     if header.family != expected {
         return Err(WireError::FamilyMismatch {
             expected: expected.name(),
@@ -95,15 +99,13 @@ impl<'a> ThetaWireView<'a> {
     /// Parses the envelope and the fixed Θ fields of a raw image.
     ///
     /// Item-level invariants (hash ordering and range) are *not* checked
-    /// here — see the module docs; use [`Self::validate`] for
-    /// decoder-equivalent strictness without materialising.
+    /// here — see the module docs; [`Self::validate`] is the item check.
     ///
     /// # Errors
     ///
-    /// The same structural [`WireError`]s as
-    /// [`CompactThetaSketch::from_wire_bytes`](super::WireDecode):
-    /// header damage, family or item-width mismatch, truncated fixed
-    /// fields, or a hash count inconsistent with the payload length.
+    /// Structural [`WireError`]s: header damage, family or item-width
+    /// mismatch, truncated fixed fields, or a hash count inconsistent
+    /// with the payload length.
     pub fn parse(data: &'a [u8]) -> Result<Self, WireError> {
         let (header, payload) = WireHeader::parse(data)?;
         family_check(&header, SketchFamily::Theta)?;
@@ -178,36 +180,50 @@ impl<'a> ThetaWireView<'a> {
         (0..items.len() / 8).map(move |i| u64_at(items, i))
     }
 
-    /// Runs the full item-level validation of the owned decoder — every
-    /// hash nonzero and below Θ, strictly ascending when the image is
-    /// canonical — without materialising anything.
+    /// The item check: every hash nonzero and below Θ, strictly
+    /// ascending when the image is canonical. Runs without
+    /// materialising anything; the owned decoder is [`Self::parse`]
+    /// plus this.
     ///
     /// # Errors
     ///
-    /// The same [`WireError::Invariant`]s as the decoder, in the same
-    /// first-violation order.
+    /// [`WireError::Invariant`] for the first hash that breaks the rule.
     pub fn validate(&self) -> Result<(), WireError> {
         let mut prev = 0u64;
         for h in self.hashes() {
-            if h == 0 {
-                return Err(WireError::invariant("theta hashes", "hash 0 is reserved"));
+            check_theta_hash(h, prev, self.theta)?;
+            if self.sorted {
+                prev = h;
             }
-            if h >= self.theta {
-                return Err(WireError::invariant(
-                    "theta hashes",
-                    format!("hash {h} not below theta {}", self.theta),
-                ));
-            }
-            if self.sorted && h <= prev {
-                return Err(WireError::invariant(
-                    "theta hashes",
-                    "hashes not strictly ascending",
-                ));
-            }
-            prev = h;
         }
         Ok(())
     }
+}
+
+/// Θ's per-hash item rule: a retained hash is nonzero, below its
+/// image's Θ, and strictly above `prev`. A walk over a canonical image
+/// passes the previous hash; a walk over an insertion-order image passes
+/// 0, which orders nothing because hash 0 is rejected first. Shared by
+/// [`ThetaWireView::validate`] and the fused single pass of the Θ
+/// fan-in kernel.
+#[inline]
+pub(crate) fn check_theta_hash(h: u64, prev: u64, theta: u64) -> Result<(), WireError> {
+    if h == 0 {
+        return Err(WireError::invariant("theta hashes", "hash 0 is reserved"));
+    }
+    if h >= theta {
+        return Err(WireError::invariant(
+            "theta hashes",
+            format!("hash {h} not below theta {theta}"),
+        ));
+    }
+    if h <= prev {
+        return Err(WireError::invariant(
+            "theta hashes",
+            "hashes not strictly ascending",
+        ));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -241,16 +257,15 @@ impl<'a> HllWireView<'a> {
     /// Parses the envelope and the fixed HLL fields of a raw image.
     ///
     /// Register *values* are not range-checked here (see the module
-    /// docs); [`Self::validate`] applies the decoder's per-register
-    /// bound, and the fan-in kernel applies it to its accumulator, which
-    /// a register-max fold can only have preserved or raised.
+    /// docs); [`Self::validate`] is the item check, and the fan-in
+    /// kernel applies the same bound to its accumulator, which a
+    /// register-max fold can only have preserved or raised.
     ///
     /// # Errors
     ///
-    /// The same structural [`WireError`]s as
-    /// [`HllSketch::from_wire_bytes`](super::WireDecode): header damage,
-    /// family or item-width mismatch, `lg_m` out of range, or a payload
-    /// length that does not carry exactly `2^lg_m` registers.
+    /// Structural [`WireError`]s: header damage, family or item-width
+    /// mismatch, `lg_m` out of range, or a payload length that does not
+    /// carry exactly `2^lg_m` registers.
     pub fn parse(data: &'a [u8]) -> Result<Self, WireError> {
         let (header, payload) = WireHeader::parse(data)?;
         family_check(&header, SketchFamily::Hll)?;
@@ -315,12 +330,13 @@ impl<'a> HllWireView<'a> {
         self.registers
     }
 
-    /// Applies the decoder's per-register rank bound
-    /// (`register ≤ 64 − lg_m + 1`).
+    /// The item check: every register within the rank bound
+    /// `register ≤ 64 − lg_m + 1`. The owned decoder is [`Self::parse`]
+    /// plus this.
     ///
     /// # Errors
     ///
-    /// The same [`WireError::Invariant`] as the decoder.
+    /// [`WireError::Invariant`] for the first register above the bound.
     pub fn validate(&self) -> Result<(), WireError> {
         validate_registers(self.lg_m, self.registers)
     }
@@ -380,17 +396,17 @@ impl<'a, T: Ord + Clone + WireItem> LadderWireView<'a, T> {
     ///
     /// # Errors
     ///
-    /// Exactly the [`WireError`]s of
-    /// [`QuantilesLadder::from_wire_bytes`](super::WireDecode), in the
-    /// same first-violation order.
+    /// The first structural or item-level [`WireError`] found;
+    /// [`QuantilesLadder::from_wire_bytes`](super::WireDecode) is this
+    /// parse plus materialisation, so it reports the same.
     pub fn parse(data: &'a [u8]) -> Result<Self, WireError> {
         Self::parse_sink(data, &mut NoopLadderSink)
     }
 
     /// [`Self::parse`] with a streaming observer: `sink` sees every run
     /// header and every validated item *during* the validation pass, so
-    /// a consumer that materialises the runs (the fan-in kernel) never
-    /// decodes an item twice. On an error the sink may have observed a
+    /// a consumer that materialises the runs (the owned decoder, the
+    /// fan-in kernel) never decodes an item twice. On an error the sink may have observed a
     /// prefix of the image; callers discard it.
     pub(crate) fn parse_sink(
         data: &'a [u8],
@@ -574,6 +590,26 @@ impl<T> LadderRunSink<T> for NoopLadderSink {
     fn item(&mut self, _item: &T) {}
 }
 
+/// Materialises runs during the ladder validation pass: each run gets
+/// one exactly-sized `Vec`, each item is decoded exactly once.
+pub(crate) struct CollectRuns<T> {
+    pub(crate) runs: Vec<(Vec<T>, u64)>,
+}
+
+impl<T: Clone> LadderRunSink<T> for CollectRuns<T> {
+    fn run(&mut self, weight: u64, len: usize) {
+        self.runs.push((Vec::with_capacity(len), weight));
+    }
+
+    fn item(&mut self, item: &T) {
+        self.runs
+            .last_mut()
+            .expect("parse announces a run before its items")
+            .0
+            .push(item.clone());
+    }
+}
+
 /// Iterator over the borrowed runs of a [`LadderWireView`].
 #[derive(Debug, Clone)]
 pub struct LadderWireRuns<'a, T> {
@@ -677,9 +713,9 @@ impl<'a, T: Ord + Clone + WireItem> MgWireView<'a, T> {
     ///
     /// # Errors
     ///
-    /// Exactly the [`WireError`]s of
-    /// [`MisraGriesSketch::from_wire_bytes`](super::WireDecode), in the
-    /// same first-violation order.
+    /// The first structural or item-level [`WireError`] found;
+    /// [`MisraGriesSketch::from_wire_bytes`](super::WireDecode) is this
+    /// parse plus materialisation, so it reports the same.
     pub fn parse(data: &'a [u8]) -> Result<Self, WireError> {
         let (header, payload) = WireHeader::parse(data)?;
         family_check(&header, SketchFamily::Frequency)?;

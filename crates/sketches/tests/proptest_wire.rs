@@ -336,7 +336,7 @@ proptest! {
             s.update(i);
         }
         let c = s.compact();
-        let back = CompactThetaSketch::from_bytes(&c.to_bytes()).unwrap();
+        let back = CompactThetaSketch::from_wire_bytes(&c.to_wire_bytes()).unwrap();
         prop_assert_eq!(back, c);
     }
 
@@ -350,7 +350,7 @@ proptest! {
         for i in 0..n {
             h.update(i);
         }
-        let back = HllSketch::from_bytes(&h.to_bytes()).unwrap();
+        let back = HllSketch::from_wire_bytes(&h.to_wire_bytes()).unwrap();
         prop_assert_eq!(back, h);
     }
 
@@ -385,10 +385,10 @@ proptest! {
         for i in 0..n {
             s.update(i);
         }
-        let mut bytes = s.compact().to_bytes().to_vec();
+        let mut bytes = s.compact().to_wire_bytes().to_vec();
         let idx = flip_at % bytes.len();
         bytes[idx] ^= 1 << flip_bit;
-        match CompactThetaSketch::from_bytes(&bytes) {
+        match CompactThetaSketch::from_wire_bytes(&bytes) {
             Err(_) => {}
             Ok(c) => {
                 // If it decodes, its invariants must hold.
@@ -430,10 +430,10 @@ proptest! {
         for i in 0..n {
             h.update(i);
         }
-        let mut bytes = h.to_bytes().to_vec();
+        let mut bytes = h.to_wire_bytes().to_vec();
         let idx = flip_at % bytes.len();
         bytes[idx] ^= 1 << flip_bit;
-        let _ = HllSketch::from_bytes(&bytes); // must not panic
+        let _ = HllSketch::from_wire_bytes(&bytes); // must not panic
     }
 
     /// The ladder image (merge-tier form) round-trips bit-exactly and

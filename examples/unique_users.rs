@@ -12,6 +12,7 @@
 
 use fcds::core::engine::{EngineBuilder, ThetaFamily};
 use fcds::sketches::theta::{ThetaANotB, ThetaIntersection, ThetaRead, ThetaUnion};
+use fcds::{WireDecode, WireEncode};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -103,8 +104,9 @@ fn main() {
     println!("users only in us-east ≈ {:.0}", only_us.estimate());
 
     // Serialise a compact image as a downstream system would.
-    let bytes = us.to_bytes();
-    let back = fcds::sketches::theta::CompactThetaSketch::from_bytes(&bytes).expect("round trip");
+    let bytes = us.to_wire_bytes();
+    let back =
+        fcds::sketches::theta::CompactThetaSketch::from_wire_bytes(&bytes).expect("round trip");
     println!(
         "\ncompact us-east image: {} bytes, estimate preserved: {}",
         bytes.len(),

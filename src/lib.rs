@@ -69,10 +69,7 @@ pub use fcds_sketches as sketches;
 // The engine-level configuration surface, re-exported flat: these are
 // the types every embedder touches regardless of which sketch they
 // instantiate (shard count, propagation backend, error budget).
-pub use fcds_core::{
-    ConcurrencyConfig, DedicatedThreadBackend, FlushError, PropagationBackend,
-    PropagationBackendKind, WriterAssistedBackend,
-};
+pub use fcds_core::{ConcurrencyConfig, FlushError, PropagationBackendKind};
 
 // The wire/merge tier, re-exported flat: sketch on any node, emit a
 // versioned image, merge the images anywhere. These are the types every
